@@ -41,9 +41,10 @@
 //! also exercises the daemon's parser from the outside.
 
 use perfpred_bench::timing::Recorder;
+use perfpred_core::http::Response;
 use perfpred_core::Json;
 use perfpred_desim::SimRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -423,10 +424,13 @@ struct Tally {
     phase_latencies: Vec<Vec<f64>>,
 }
 
-/// A persistent keep-alive connection that reconnects on failure.
+/// A persistent keep-alive connection that reconnects on failure (or
+/// when the server closes it), framing replies through the shared codec.
 struct Connection {
     addr: String,
-    stream: Option<BufReader<TcpStream>>,
+    stream: Option<TcpStream>,
+    /// Bytes read off `stream` and not yet consumed.
+    buf: Vec<u8>,
 }
 
 impl Connection {
@@ -434,17 +438,8 @@ impl Connection {
         Connection {
             addr: addr.to_string(),
             stream: None,
+            buf: Vec::new(),
         }
-    }
-
-    fn ensure(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(Duration::from_secs(35)))?;
-            self.stream = Some(BufReader::new(stream));
-        }
-        Ok(self.stream.as_mut().expect("just ensured"))
     }
 
     /// Sends one POST and reads the response; returns the status code.
@@ -467,53 +462,33 @@ impl Connection {
     }
 
     fn roundtrip(&mut self, request: &str) -> std::io::Result<(u16, String)> {
-        let reader = self.ensure()?;
-        if let Err(e) = reader.get_mut().write_all(request.as_bytes()) {
-            self.stream = None; // force reconnect next call
-            return Err(e);
+        if self.stream.is_none() {
+            let stream = TcpStream::connect(&self.addr)?;
+            stream.set_nodelay(true)?;
+            stream.set_read_timeout(Some(Duration::from_secs(35)))?;
+            self.stream = Some(stream);
+            self.buf.clear();
         }
-        match read_response(reader) {
-            Ok(found) => Ok(found),
+        let stream = self.stream.as_mut().expect("connected above");
+        let reply = stream
+            .write_all(request.as_bytes())
+            .and_then(|()| Response::read_from(stream, &mut self.buf));
+        match reply {
+            Ok((resp, keep_alive)) => {
+                if !keep_alive {
+                    self.stream = None; // the server closed its side
+                }
+                Ok((
+                    resp.status,
+                    String::from_utf8_lossy(&resp.body).into_owned(),
+                ))
+            }
             Err(e) => {
-                self.stream = None;
+                self.stream = None; // force reconnect next call
                 Err(e)
             }
         }
     }
-}
-
-/// Reads one response (status line + headers + Content-Length body).
-/// Returns the status code and the body text.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            content_length = v;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
-    }
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
 /// Observations a reporting client has predicted but not yet fed back:

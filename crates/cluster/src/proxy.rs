@@ -24,9 +24,10 @@
 //! returns.
 
 use crate::ring::Ring;
+use perfpred_core::http::{self, HeadOutcome, Request, Response};
 use perfpred_core::{metrics, Json};
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -420,16 +421,9 @@ fn probe_all(state: &RouterState) {
 /// GET /healthz on one upstream; returns (model_version, is_primary).
 fn probe_one(u: &Upstream, timeout: Duration) -> io::Result<(u64, bool)> {
     let conn = u.checkout(timeout)?;
-    let mut conn = conn;
     conn.set_read_timeout(Some(timeout))?;
     conn.set_write_timeout(Some(timeout))?;
-    write!(
-        conn,
-        "GET /healthz HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
-        u.addr
-    )?;
-    let mut reader = BufReader::new(conn);
-    let resp = read_response(&mut reader)?;
+    let resp = exchange(u, conn, "GET", "/healthz", b"")?;
     if resp.status != 200 {
         return Err(io::Error::other(format!("healthz status {}", resp.status)));
     }
@@ -444,193 +438,47 @@ fn probe_one(u: &Upstream, timeout: Duration) -> io::Result<(u64, bool)> {
         .get("cluster_role")
         .and_then(Json::as_str)
         .unwrap_or("primary"); // single-node daemons are writable
-    if resp.keep_alive {
-        u.checkin(reader.into_inner());
-    }
     Ok((version, role == "primary"))
 }
 
-/// A parsed client request (just enough to route and re-emit).
-struct ProxyRequest {
-    method: String,
-    path: String,
-    body: Vec<u8>,
-    keep_alive: bool,
-}
-
-/// A parsed upstream response (relayed headers only).
-struct ProxyResponse {
-    status: u16,
-    content_type: String,
-    allow: Option<String>,
-    body: Vec<u8>,
-    keep_alive: bool,
-}
-
-const MAX_HEAD: usize = 8 * 1024;
-const MAX_BODY: usize = 1024 * 1024;
-
-/// Reads one HTTP/1.1 request; `Ok(None)` on clean close between
-/// requests.
-fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<ProxyRequest>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_uppercase();
-    let path = parts.next().unwrap_or("").to_string();
-    if method.is_empty() || !path.starts_with('/') {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
-    }
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    let mut head_bytes = line.len();
-    loop {
-        let mut header = String::new();
-        if r.read_line(&mut header)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "head too large"));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            match name.to_ascii_lowercase().as_str() {
-                "content-length" => {
-                    content_length = value.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                }
-                "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok(Some(ProxyRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
-
-/// Reads one HTTP/1.1 response from an upstream.
-fn read_response<R: BufRead>(r: &mut R) -> io::Result<ProxyResponse> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))?;
-    let mut content_length = 0usize;
-    let mut content_type = "application/json".to_string();
-    let mut allow = None;
-    let mut keep_alive = true;
-    loop {
-        let mut header = String::new();
-        if r.read_line(&mut header)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            match name.to_ascii_lowercase().as_str() {
-                "content-length" => {
-                    content_length = value.parse().map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                    })?;
-                }
-                "content-type" => content_type = value.to_string(),
-                "allow" => allow = Some(value.to_string()),
-                "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-    Ok(ProxyResponse {
-        status,
-        content_type,
-        allow,
-        body,
-        keep_alive,
-    })
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
-fn write_client_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    allow: Option<&str>,
+/// One request/response exchange with an upstream on a checked-out
+/// connection, which goes back to the pool when the upstream keeps it
+/// open and sent nothing past the response. A stale pooled connection
+/// (closed by the upstream between requests) surfaces as an error and the
+/// caller retries on a fresh one.
+fn exchange(
+    u: &Upstream,
+    mut conn: TcpStream,
+    method: &str,
+    path: &str,
     body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
-        reason(status)
-    )?;
-    if let Some(allow) = allow {
-        write!(w, "Allow: {allow}\r\n")?;
+) -> io::Result<Response> {
+    let mut out = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        u.addr,
+        body.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(body);
+    conn.write_all(&out)?;
+    let mut buf = Vec::new();
+    let (resp, keep_alive) = Response::read_from(&mut conn, &mut buf)?;
+    if keep_alive && buf.is_empty() {
+        u.checkin(conn);
     }
-    write!(
-        w,
-        "Content-Length: {}\r\nConnection: {}\r\n\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    w.write_all(body)?;
-    w.flush()
+    Ok(resp)
 }
 
-fn error_body(message: &str) -> Vec<u8> {
-    let mut m = Json::obj();
-    m.set("error", message);
-    m.render().into_bytes()
+/// A 405 for the router's own endpoints.
+fn wrong_method(allow: &'static str) -> Response {
+    let mut resp = Response::error(405, "wrong method for this path");
+    resp.allow = Some(allow.into());
+    resp
 }
 
 /// Extracts the consistent-hash key: the `server` field of a JSON body,
 /// falling back to the path for body-less requests.
-fn hash_key(req: &ProxyRequest) -> String {
+fn hash_key(req: &Request) -> String {
     if !req.body.is_empty() {
         if let Ok(doc) = Json::parse(&String::from_utf8_lossy(&req.body)) {
             if let Some(server) = doc.get("server").and_then(Json::as_str) {
@@ -641,100 +489,59 @@ fn hash_key(req: &ProxyRequest) -> String {
     req.path.clone()
 }
 
-/// One client connection: route and forward until close.
-fn serve_client(stream: TcpStream, state: &RouterState) -> io::Result<()> {
+/// How long a client connection may sit idle between requests.
+const CLIENT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a refused client may stay quiet before the post-reject drain
+/// gives up and closes.
+const REJECT_DRAIN_QUIET: Duration = Duration::from_millis(100);
+
+/// One client connection: route and forward until close. Requests frame
+/// through the shared codec, so a size limit answers 413/431, a malformed
+/// or chunked request answers 400 — each with `Connection: close` and a
+/// bounded drain — and nothing past a refused head is ever routed.
+fn serve_client(mut stream: TcpStream, state: &RouterState) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                write_client_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    None,
-                    &error_body(&e.to_string()),
-                    false,
-                )?;
-                return Ok(());
+    stream.set_read_timeout(Some(CLIENT_IDLE_TIMEOUT))?;
+    let (mut buf, mut req, mut out) = (Vec::new(), Request::default(), Vec::new());
+    let refusal = loop {
+        let outcome = http::read_frame(&mut stream, &mut buf, |bytes| {
+            http::parse_head(bytes, &mut req)
+        });
+        match outcome {
+            Ok(HeadOutcome::Complete(info)) if req.path.starts_with('/') => {
+                info.take_body(&mut buf, &mut req.body);
+                state.requests.fetch_add(1, Ordering::Relaxed);
+                out.clear();
+                route(state, &req).write_into(&mut out, req.keep_alive);
+                stream.write_all(&out)?;
+                if !req.keep_alive {
+                    return Ok(());
+                }
             }
+            Ok(HeadOutcome::Reject { status, message }) => break Response::error(status, message),
+            Ok(_) => break Response::error(400, "malformed request"),
+            // Clean close, truncated request, idle timeout or I/O error.
             Err(_) => return Ok(()),
-        };
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        let keep_alive = req.keep_alive;
+        }
+    };
+    out.clear();
+    refusal.write_into(&mut out, false);
+    stream.write_all(&out)?;
+    http::drain_then_close(stream, REJECT_DRAIN_QUIET);
+    Ok(())
+}
 
-        if req.path == "/router/status" {
-            let (status, body) = if req.method == "GET" {
-                (200, state.status_json().render().into_bytes())
-            } else {
-                (405, error_body("wrong method for this path"))
-            };
-            write_client_response(
-                &mut writer,
-                status,
-                "application/json",
-                (status == 405).then_some("GET"),
-                &body,
-                keep_alive,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-
-        if req.path == "/admin/upstreams" {
-            let (status, body, allow) = if req.method == "POST" {
-                let (status, body) = admin_upstreams(state, &req.body);
-                (status, body, None)
-            } else {
-                (405, error_body("wrong method for this path"), Some("POST"))
-            };
-            write_client_response(
-                &mut writer,
-                status,
-                "application/json",
-                allow,
-                &body,
-                keep_alive,
-            )?;
-            if !keep_alive {
-                return Ok(());
-            }
-            continue;
-        }
-
-        let resp = forward_with_retries(state, &req);
-        match resp {
-            Some(resp) => {
-                write_client_response(
-                    &mut writer,
-                    resp.status,
-                    &resp.content_type,
-                    resp.allow.as_deref(),
-                    &resp.body,
-                    keep_alive,
-                )?;
-            }
-            None => {
-                state.forward_errors.fetch_add(1, Ordering::Relaxed);
-                write_client_response(
-                    &mut writer,
-                    503,
-                    "application/json",
-                    None,
-                    &error_body("no healthy upstream"),
-                    keep_alive,
-                )?;
-            }
-        }
-        if !keep_alive {
-            return Ok(());
-        }
+/// Answers one framed request: the router's own endpoints, or a forward.
+fn route(state: &RouterState, req: &Request) -> Response {
+    match (req.path.as_str(), req.method.as_str()) {
+        ("/router/status", "GET") => Response::json(200, &state.status_json()),
+        ("/router/status", _) => wrong_method("GET"),
+        ("/admin/upstreams", "POST") => admin_upstreams(state, &req.body),
+        ("/admin/upstreams", _) => wrong_method("POST"),
+        _ => forward_with_retries(state, req).unwrap_or_else(|| {
+            state.forward_errors.fetch_add(1, Ordering::Relaxed);
+            Response::error(503, "no healthy upstream")
+        }),
     }
 }
 
@@ -742,29 +549,21 @@ fn serve_client(stream: TcpStream, state: &RouterState) -> io::Result<()> {
 /// Body: `{"upstreams": ["host:port", ...]}`. Surviving addresses keep
 /// their health state and connection pools; the swap is atomic and
 /// in-flight requests finish on the topology they started on.
-fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
+fn admin_upstreams(state: &RouterState, body: &[u8]) -> Response {
     let doc = match Json::parse(&String::from_utf8_lossy(body)) {
         Ok(d) => d,
-        Err(e) => return (400, error_body(&format!("bad JSON: {e}"))),
+        Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
     };
-    let addrs: Vec<String> = match doc.get("upstreams").and_then(Json::as_arr) {
-        Some(list) => {
-            let mut addrs = Vec::with_capacity(list.len());
-            for item in list {
-                match item.as_str() {
-                    Some(s) if !s.trim().is_empty() => addrs.push(s.trim().to_string()),
-                    _ => {
-                        return (
-                            400,
-                            error_body("'upstreams' entries must be non-empty strings"),
-                        )
-                    }
-                }
-            }
-            addrs
+    let Some(list) = doc.get("upstreams").and_then(Json::as_arr) else {
+        return Response::error(400, "need an 'upstreams' array");
+    };
+    let mut addrs = Vec::with_capacity(list.len());
+    for item in list {
+        match item.as_str() {
+            Some(s) if !s.trim().is_empty() => addrs.push(s.trim().to_string()),
+            _ => return Response::error(400, "'upstreams' entries must be non-empty strings"),
         }
-        None => return (400, error_body("need an 'upstreams' array")),
-    };
+    }
     match state.reload_upstreams(&addrs) {
         Ok(generation) => {
             let mut out = Json::obj();
@@ -773,9 +572,9 @@ fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
                 Json::Arr(addrs.iter().map(|a| Json::from(a.as_str())).collect()),
             );
             out.set("generation", generation);
-            (200, out.render().into_bytes())
+            Response::json(200, &out)
         }
-        Err(e) => (400, error_body(&e.to_string())),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
@@ -785,7 +584,7 @@ fn admin_upstreams(state: &RouterState, body: &[u8]) -> (u16, Vec<u8>) {
 /// a concurrent `/admin/upstreams` swap cannot re-route attempt two onto
 /// a node that already saw attempt one, and cannot shrink `tried` under
 /// the loop.
-fn forward_with_retries(state: &RouterState, req: &ProxyRequest) -> Option<ProxyResponse> {
+fn forward_with_retries(state: &RouterState, req: &Request) -> Option<Response> {
     let topo = state.topology();
     let is_write = req.method == "POST" && req.path == "/observe";
     let mut tried = vec![false; topo.upstreams.len()];
@@ -808,7 +607,9 @@ fn forward_with_retries(state: &RouterState, req: &ProxyRequest) -> Option<Proxy
         tried[idx] = true;
         let u = &topo.upstreams[idx];
         u.in_flight.fetch_add(1, Ordering::Relaxed);
-        let result = forward_once(u, req, state.cfg.io_timeout);
+        let result = u
+            .checkout(state.cfg.io_timeout)
+            .and_then(|conn| exchange(u, conn, &req.method, &req.path, &req.body));
         u.in_flight.fetch_sub(1, Ordering::Relaxed);
         match result {
             Ok(resp) => {
@@ -824,99 +625,125 @@ fn forward_with_retries(state: &RouterState, req: &ProxyRequest) -> Option<Proxy
     None
 }
 
-/// One forward on one upstream, reusing a pooled connection. A stale
-/// pooled connection (closed by the upstream between requests) surfaces
-/// as an error here and the caller retries on a fresh one.
-fn forward_once(u: &Upstream, req: &ProxyRequest, timeout: Duration) -> io::Result<ProxyResponse> {
-    let mut conn = u.checkout(timeout)?;
-    write!(
-        conn,
-        "{} {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-        req.method,
-        req.path,
-        u.addr,
-        req.body.len()
-    )?;
-    conn.write_all(&req.body)?;
-    conn.flush()?;
-    let mut reader = BufReader::new(conn);
-    let resp = read_response(&mut reader)?;
-    if resp.keep_alive {
-        u.checkin(reader.into_inner());
-    }
-    Ok(resp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfpred_core::http::{MAX_HEADERS, MAX_HEAD_BYTES};
+    use std::io::Read;
 
-    /// A minimal in-process upstream speaking just enough HTTP.
-    fn stub_upstream(
-        model_version: u64,
-        role: &'static str,
-    ) -> (String, std::thread::JoinHandle<()>) {
+    /// Paths (as `"METHOD /path"`) a stub upstream answered, `/healthz`
+    /// probes excluded.
+    type Seen = Arc<Mutex<Vec<String>>>;
+
+    /// An in-process upstream speaking the shared codec: `/healthz`
+    /// reports `model_version` and `cluster_role`, everything else echoes
+    /// and is recorded.
+    fn stub_upstream(model_version: u64, role: &'static str) -> (String, Seen) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
+        let seen = Seen::default();
+        let record = Arc::clone(&seen);
+        std::thread::spawn(move || {
             for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                let mut writer = stream.try_clone().unwrap();
-                let mut reader = BufReader::new(stream);
-                while let Ok(Some(req)) = read_request(&mut reader) {
-                    let body = if req.path == "/healthz" {
-                        format!(
-                            "{{\"model_version\": {model_version}, \"cluster_role\": \"{role}\"}}"
-                        )
-                    } else {
-                        format!("{{\"echo\": \"{} {}\"}}", req.method, req.path)
-                    };
-                    let ok = write_client_response(
-                        &mut writer,
-                        200,
-                        "application/json",
-                        None,
-                        body.as_bytes(),
-                        true,
-                    );
-                    if ok.is_err() {
-                        return;
+                let Ok(mut stream) = conn else { break };
+                let record = Arc::clone(&record);
+                std::thread::spawn(move || {
+                    let (mut buf, mut req, mut out) = (Vec::new(), Request::default(), Vec::new());
+                    while let Ok(HeadOutcome::Complete(info)) =
+                        http::read_frame(&mut stream, &mut buf, |b| http::parse_head(b, &mut req))
+                    {
+                        info.take_body(&mut buf, &mut req.body);
+                        let mut doc = Json::obj();
+                        if req.path == "/healthz" {
+                            doc.set("model_version", model_version);
+                            doc.set("cluster_role", role);
+                        } else {
+                            let line = format!("{} {}", req.method, req.path);
+                            doc.set("echo", line.as_str());
+                            record.lock().unwrap().push(line);
+                        }
+                        out.clear();
+                        Response::json(200, &doc).write_into(&mut out, true);
+                        if stream.write_all(&out).is_err() {
+                            return;
+                        }
                     }
-                }
+                });
             }
         });
-        (addr, handle)
+        (addr, seen)
+    }
+
+    fn start_router(cfg: RouterConfig) -> String {
+        let server = RouterServer::bind(RouterConfig {
+            probe_interval: Duration::from_millis(50),
+            ..cfg
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        std::thread::spawn(move || server.run());
+        addr
+    }
+
+    /// Writes `raw` on a fresh connection and reads one response.
+    fn send(addr: &str, raw: &[u8]) -> (u16, String, TcpStream) {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn.write_all(raw).unwrap();
+        let (resp, _) = Response::read_from(&mut conn, &mut Vec::new()).unwrap();
+        let body = String::from_utf8_lossy(&resp.body).into_owned();
+        (resp.status, body, conn)
     }
 
     fn get(addr: &str, path: &str) -> (u16, String) {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(
-            conn,
-            "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
-        let mut reader = BufReader::new(conn);
-        let resp = read_response(&mut reader).unwrap();
-        (
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        )
+        let raw = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        let (status, body, _) = send(addr, raw.as_bytes());
+        (status, body)
+    }
+
+    fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
+        let raw = format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let (status, body, _) = send(addr, raw.as_bytes());
+        (status, body)
+    }
+
+    /// Polls `/router/status` until `ready` holds — readiness, not a
+    /// fixed sleep standing in for the prober.
+    fn wait_status(addr: &str, what: &str, ready: impl Fn(&[Json]) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_, body) = get(addr, "/router/status");
+            let doc = Json::parse(&body).unwrap();
+            if ready(doc.get("upstreams").and_then(Json::as_arr).unwrap()) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "timed out waiting for {what}: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Every upstream has answered a probe (the stubs report versions ≥ 1),
+    /// so roles and versions are known.
+    fn probed(ups: &[Json]) -> bool {
+        ups.iter()
+            .all(|u| u.get("model_version").and_then(Json::as_f64) > Some(0.0))
     }
 
     #[test]
     fn routes_reads_and_reports_status() {
-        let (a, _ha) = stub_upstream(5, "primary");
-        let (b, _hb) = stub_upstream(5, "follower");
-        let cfg = RouterConfig {
+        let (a, _) = stub_upstream(5, "primary");
+        let (b, _) = stub_upstream(5, "follower");
+        let addr = start_router(RouterConfig {
             upstreams: vec![a, b],
-            probe_interval: Duration::from_millis(50),
             ..RouterConfig::default()
-        };
-        let server = RouterServer::bind(cfg).unwrap();
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.run());
-        // Give the prober a round to discover roles.
-        std::thread::sleep(Duration::from_millis(300));
+        });
+        wait_status(&addr, "roles", probed);
 
         let (status, body) = get(&addr, "/models");
         assert_eq!(status, 200);
@@ -927,72 +754,60 @@ mod tests {
         assert!(body.contains("\"model_version\": 5"), "{body}");
     }
 
-    /// A stub upstream that counts every non-healthz request it answers.
-    fn counting_upstream(counter: Arc<AtomicU64>) -> (String, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
-                    while let Ok(Some(req)) = read_request(&mut reader) {
-                        let body = if req.path == "/healthz" {
-                            "{\"model_version\": 1, \"cluster_role\": \"primary\"}".to_string()
-                        } else {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            format!("{{\"echo\": \"{}\"}}", req.path)
-                        };
-                        if write_client_response(
-                            &mut writer,
-                            200,
-                            "application/json",
-                            None,
-                            body.as_bytes(),
-                            true,
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
-                    }
-                });
-            }
+    /// Sends `raw` to a router in front of one stub: it must answer
+    /// `status` and close, route nothing of `raw`, and a fresh connection
+    /// must still route.
+    fn refused_without_routing(raw: &[u8], status: u16) {
+        let (up, seen) = stub_upstream(1, "primary");
+        let addr = start_router(RouterConfig {
+            upstreams: vec![up],
+            ..RouterConfig::default()
         });
-        (addr, handle)
+        wait_status(&addr, "roles", probed);
+        let (got, body, mut conn) = send(&addr, raw);
+        assert_eq!(got, status, "{body}");
+        let mut rest = Vec::new();
+        let _ = conn.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+        let (fresh, body) = get(&addr, "/models");
+        assert_eq!(fresh, 200, "{body}");
+        assert_eq!(*seen.lock().unwrap(), ["GET /models"]);
     }
 
-    fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(
-            conn,
-            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut reader = BufReader::new(conn);
-        let resp = read_response(&mut reader).unwrap();
-        (
-            resp.status,
-            String::from_utf8_lossy(&resp.body).into_owned(),
-        )
+    #[test]
+    fn unterminated_request_line_past_the_head_cap_gets_431() {
+        // One byte past the cap, no newline, write side left open: the
+        // router must answer from the cap alone instead of buffering on.
+        refused_without_routing(&vec![b'a'; MAX_HEAD_BYTES + 1], 431);
+    }
+
+    #[test]
+    fn too_many_header_fields_get_431() {
+        let fields: String = (0..=MAX_HEADERS)
+            .map(|i| format!("X-H{i}: v\r\n"))
+            .collect();
+        let raw = format!("GET /models HTTP/1.1\r\n{fields}\r\n");
+        refused_without_routing(raw.as_bytes(), 431);
+    }
+
+    #[test]
+    fn chunked_request_is_refused_and_its_body_never_routed() {
+        // A chunked "body" that is itself a request: framed as a
+        // zero-length body it would be routed as a second request.
+        let raw = "POST /predict HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+                   GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n";
+        refused_without_routing(raw.as_bytes(), 400);
     }
 
     #[test]
     fn admin_upstreams_swaps_the_set_and_validates_input() {
-        let (a, _ha) = stub_upstream(1, "primary");
-        let (b, _hb) = stub_upstream(1, "follower");
-        let cfg = RouterConfig {
+        let (a, _) = stub_upstream(1, "primary");
+        let (b, _) = stub_upstream(1, "follower");
+        let addr = start_router(RouterConfig {
             upstreams: vec![a.clone()],
-            probe_interval: Duration::from_millis(50),
             ..RouterConfig::default()
-        };
-        let server = RouterServer::bind(cfg).unwrap();
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.run());
-        std::thread::sleep(Duration::from_millis(200));
+        });
+        wait_status(&addr, "roles", probed);
 
         // Bad bodies 400 and leave the set alone.
         for bad in [
@@ -1048,18 +863,13 @@ mod tests {
 
     #[test]
     fn requests_racing_a_topology_swap_are_never_lost_or_double_sent() {
-        let served = Arc::new(AtomicU64::new(0));
-        let (a, _ha) = counting_upstream(Arc::clone(&served));
-        let (b, _hb) = counting_upstream(Arc::clone(&served));
-        let cfg = RouterConfig {
+        let (a, seen_a) = stub_upstream(1, "primary");
+        let (b, seen_b) = stub_upstream(1, "primary");
+        let addr = start_router(RouterConfig {
             upstreams: vec![a.clone()],
-            probe_interval: Duration::from_millis(50),
             ..RouterConfig::default()
-        };
-        let server = RouterServer::bind(cfg).unwrap();
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.run());
-        std::thread::sleep(Duration::from_millis(200));
+        });
+        wait_status(&addr, "roles", probed);
 
         // Swapper: flip the upstream set as fast as it can.
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1092,10 +902,12 @@ mod tests {
                 let sent = Arc::clone(&sent);
                 std::thread::spawn(move || {
                     for i in 0..150 {
-                        let path = format!("/models?t={t}&i={i}");
+                        // The stub echoes method and path, so each client
+                        // must get the reply to its own request back.
+                        let path = format!("/echo/{t}/{i}");
                         let (status, body) = get(&addr, &path);
                         assert_eq!(status, 200, "{body}");
-                        assert!(body.contains(&path), "{body}");
+                        assert!(body.contains(&path), "{path} got {body}");
                         sent.fetch_add(1, Ordering::Relaxed);
                     }
                 })
@@ -1112,27 +924,27 @@ mod tests {
         // double-sent: the upstreams saw exactly as many forwards as the
         // clients sent (both upstreams were healthy throughout, so no
         // transport retry can legitimately duplicate).
-        assert_eq!(served.load(Ordering::Relaxed), sent.load(Ordering::Relaxed));
+        let served = seen_a.lock().unwrap().len() + seen_b.lock().unwrap().len();
+        assert_eq!(served as u64, sent.load(Ordering::Relaxed));
     }
 
     #[test]
     fn dead_upstream_is_ejected_and_requests_fail_over() {
-        let (live, _h) = stub_upstream(1, "primary");
+        let (live, _) = stub_upstream(1, "primary");
         // A dead address: bind, grab the port, drop the listener.
         let dead = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let cfg = RouterConfig {
+        let addr = start_router(RouterConfig {
             upstreams: vec![dead, live],
-            probe_interval: Duration::from_millis(50),
             io_timeout: Duration::from_millis(500),
             ..RouterConfig::default()
-        };
-        let server = RouterServer::bind(cfg).unwrap();
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.run());
-        std::thread::sleep(Duration::from_millis(400));
+        });
+        wait_status(&addr, "the dead upstream's ejection", |ups| {
+            ups.iter()
+                .any(|u| u.get("admitted").and_then(Json::as_bool) == Some(false))
+        });
 
         // Every read lands on the live upstream regardless of hash.
         for i in 0..10 {

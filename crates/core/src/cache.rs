@@ -29,12 +29,12 @@
 //! functions of their calibration data. If the underlying model is
 //! re-calibrated, call [`PredictionCache::clear`] (or drop the cache and
 //! wrap the new model). Models that are *continuously* re-calibrated (the
-//! serve daemon's registry-backed historical model) instead carry a
-//! **model version** in every key: [`PredictionCache::set_model_version`]
-//! makes all entries memoized under older versions unreachable at once,
-//! without flushing in-flight work — a request already past its lookup
-//! keeps the version it started with, and stale entries simply age out of
-//! the LRU. Hit/miss counts are exposed both per-cache
+//! serve daemon's registry-backed historical model) instead report a
+//! [`PerformanceModel::model_version`], which every key carries: a
+//! publish makes all entries memoized under older versions unreachable at
+//! once, without flushing in-flight work — a request already past its
+//! lookup keeps the version it started with, and stale entries simply age
+//! out of the LRU. Hit/miss counts are exposed both per-cache
 //! ([`PredictionCache::stats`]) and through the global [`crate::metrics`]
 //! registry as `predcache.hits` / `predcache.misses`.
 //!
@@ -189,9 +189,6 @@ pub struct PredictionCache<M: PerformanceModel> {
     shards: Vec<RwLock<HashMap<Key, Entry>>>,
     /// Logical clock for LRU stamps: bumped once per lookup/insert.
     tick: AtomicU64,
-    /// The model version stamped into new keys; entries keyed under older
-    /// versions become unreachable when this advances.
-    model_version: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -214,7 +211,6 @@ impl<M: PerformanceModel> PredictionCache<M> {
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             tick: AtomicU64::new(0),
-            model_version: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -223,22 +219,6 @@ impl<M: PerformanceModel> PredictionCache<M> {
     /// The wrapped model.
     pub fn inner(&self) -> &M {
         &self.inner
-    }
-
-    /// The model version currently stamped into keys (0 until a hot swap).
-    pub fn model_version(&self) -> u64 {
-        self.model_version.load(Ordering::Relaxed)
-    }
-
-    /// Advances the model version stamped into keys.
-    ///
-    /// Call when the wrapped model's answers change (a registry hot swap):
-    /// every entry memoized under an older version is immediately
-    /// unreachable — no flush, no write locks, and lookups already past
-    /// their key construction finish against the version they started
-    /// with. Stale entries are evicted by the normal LRU pressure.
-    pub fn set_model_version(&self, version: u64) {
-        self.model_version.store(version, Ordering::Relaxed);
     }
 
     /// Hit/miss totals since construction (or the last [`clear`]).
@@ -420,6 +400,11 @@ impl<M: PerformanceModel> PerformanceModel for PredictionCache<M> {
     fn supports_direct_percentiles(&self) -> bool {
         self.inner.supports_direct_percentiles()
     }
+
+    /// The wrapped model's version — the one stamped into new keys.
+    fn model_version(&self) -> u64 {
+        self.inner.model_version()
+    }
 }
 
 #[cfg(test)]
@@ -431,12 +416,14 @@ mod tests {
     /// Counts how many times `predict` actually runs.
     struct CountingModel {
         solves: AtomicUsize,
+        version: AtomicU64,
     }
 
     impl CountingModel {
         fn new() -> Self {
             CountingModel {
                 solves: AtomicUsize::new(0),
+                version: AtomicU64::new(0),
             }
         }
         fn solve_count(&self) -> usize {
@@ -459,6 +446,9 @@ mod tests {
                 return Err(PredictError::OutOfRange("too many clients".into()));
             }
             Ok(Prediction::single_class(10.0 + 0.1 * n, n / 7.0, false))
+        }
+        fn model_version(&self) -> u64 {
+            self.version.load(Ordering::SeqCst)
         }
     }
 
@@ -741,7 +731,7 @@ mod tests {
         assert_eq!(cache.inner().solve_count(), 1);
 
         // A hot swap: old entries become unreachable, nothing is flushed.
-        cache.set_model_version(3);
+        cache.inner().version.store(3, Ordering::SeqCst);
         assert_eq!(cache.model_version(), 3);
         assert!(cache.peek(&server(), &w).is_none(), "stale hit after swap");
         let v3 = cache.predict(&server(), &w).unwrap();
@@ -751,7 +741,7 @@ mod tests {
 
         // In-flight work keyed under the old version can still land and be
         // read back under that version.
-        cache.set_model_version(0);
+        cache.inner().version.store(0, Ordering::SeqCst);
         assert!(cache.peek(&server(), &w).is_some());
     }
 

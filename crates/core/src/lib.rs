@@ -26,6 +26,7 @@ pub mod faults;
 pub mod fit;
 pub mod frame;
 pub mod fsutil;
+pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod model;

@@ -119,6 +119,16 @@ pub trait PerformanceModel {
     fn supports_direct_percentiles(&self) -> bool {
         false
     }
+
+    /// The version of the calibration this model currently answers from.
+    /// Models that are re-calibrated while serving (a registry-backed
+    /// historical model) bump it on every publish; pure models keep the
+    /// default 0. [`crate::PredictionCache`] stamps it into every key, so
+    /// answers memoized under a superseded calibration are never served
+    /// and no publisher has to remember to re-key a cache.
+    fn model_version(&self) -> u64 {
+        0
+    }
 }
 
 impl<M: PerformanceModel + ?Sized> PerformanceModel for &M {
@@ -142,6 +152,9 @@ impl<M: PerformanceModel + ?Sized> PerformanceModel for &M {
     }
     fn supports_direct_percentiles(&self) -> bool {
         (**self).supports_direct_percentiles()
+    }
+    fn model_version(&self) -> u64 {
+        (**self).model_version()
     }
 }
 

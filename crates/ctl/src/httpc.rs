@@ -2,17 +2,14 @@
 //!
 //! Every control-plane exchange is a single request/response pair against
 //! a daemon we also wrote, so the client stays deliberately small:
-//! `Connection: close`, bounded timeouts on connect/read/write, and a
-//! length-tolerant reader that accepts both `Content-Length` bodies and
-//! close-delimited ones.
+//! `Connection: close`, bounded timeouts on connect/read/write, and the
+//! workspace's shared codec ([`perfpred_core::http`]) reading the reply —
+//! `Content-Length` framing, bodies capped at 4 MiB.
 
-use std::io::{Read, Write};
+use perfpred_core::http::Response;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Upper bound on response bytes buffered from one scrape target; a
-/// `/metrics` page is tens of KB, anything past this is misbehaving.
-const MAX_RESPONSE_BYTES: usize = 4 * 1024 * 1024;
 
 /// One parsed response: status code and body.
 #[derive(Debug, Clone)]
@@ -49,38 +46,10 @@ fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 fn exchange(addr: &str, request: &[u8], timeout: Duration) -> std::io::Result<HttpReply> {
     let mut stream = connect(addr, timeout)?;
     stream.write_all(request)?;
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 8192];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                raw.extend_from_slice(&buf[..n]);
-                if raw.len() > MAX_RESPONSE_BYTES {
-                    return Err(std::io::Error::other("response too large"));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    parse_reply(&raw)
-}
-
-fn parse_reply(raw: &[u8]) -> std::io::Result<HttpReply> {
-    let text = String::from_utf8_lossy(raw);
-    let header_end = text
-        .find("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::other("truncated response head"))?;
-    let status = text
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| std::io::Error::other("bad status line"))?;
+    let (resp, _) = Response::read_from(&mut stream, &mut Vec::new())?;
     Ok(HttpReply {
-        status,
-        body: text[header_end + 4..].to_string(),
+        status: resp.status,
+        body: String::from_utf8_lossy(&resp.body).into_owned(),
     })
 }
 
@@ -102,25 +71,4 @@ pub fn post_json(
         body.len()
     );
     exchange(addr, request.as_bytes(), timeout)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_status_and_body() {
-        let r = parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi").unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.body, "hi");
-        assert!(r.ok());
-        let e = parse_reply(b"HTTP/1.1 503 Unavailable\r\n\r\n").unwrap();
-        assert!(!e.ok());
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse_reply(b"not http").is_err());
-        assert!(parse_reply(b"HTTP/1.1 abc\r\n\r\n").is_err());
-    }
 }

@@ -100,6 +100,10 @@ impl<M: PerformanceModel> PerformanceModel for UniformErrorModel<M> {
         }
         Ok(p)
     }
+
+    fn model_version(&self) -> u64 {
+        self.inner.model_version()
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Per-connection state machine for the event-driven serving core.
+//! Per-connection state machine shared by both serving cores.
 //!
-//! Each reactor connection moves through
+//! Each connection moves through
 //! `ReadHead → ReadBody → Dispatch → Write → Drain`, parsing requests
-//! *incrementally* out of a pooled read buffer: the nonblocking socket
-//! delivers bytes in arbitrary chunks, so [`parse_head`] is re-run over
-//! the accumulated buffer until a full head (then body) is present,
-//! producing exactly the outcomes `http::read_request` produces on the
-//! blocking core — same 413/431 limits, same malformed-framing closes —
-//! so the two cores answer byte-identically.
+//! *incrementally* out of a pooled read buffer: the socket delivers bytes
+//! in arbitrary chunks, so [`parse_head`] (the shared codec in
+//! [`perfpred_core::http`]) is re-run over the accumulated buffer until a
+//! full head (then body) is present. Both serving cores drive this one
+//! state machine — the reactor over nonblocking sockets, the threaded
+//! core over blocking ones ([`Conn::blocking`]) — so parsing, body
+//! framing, pipelining and reject-then-drain are shared and the two
+//! cores answer byte-identically.
 //!
 //! Nothing here allocates on the steady-state path: requests parse into
 //! a reused [`Request`] scratch (strings cleared, capacity kept),
@@ -16,10 +18,11 @@
 //! [`BufPool`] while the connection idles between keep-alive requests —
 //! ten thousand parked connections hold sockets, not buffers.
 
-use crate::http::{Request, MAX_BODY_BYTES, MAX_HEADERS, MAX_HEAD_BYTES};
+use crate::http::{Request, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+pub use perfpred_core::http::{parse_head, HeadInfo, HeadOutcome, DRAIN_BUDGET_BYTES};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Bytes added to the read buffer per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -32,170 +35,19 @@ const READ_CAP: usize = MAX_HEAD_BYTES + MAX_BODY_BYTES + READ_CHUNK;
 const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 /// Initial capacity for pooled buffers (a typical head + JSON response).
 const INITIAL_CAPACITY: usize = 4 * 1024;
-/// Bound on bytes drained from a connection being closed with an error
-/// response — same budget as the blocking core's `drain_then_close`.
-pub const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
+/// How long a connection may sit mid-request, mid-response or mid-drain
+/// without a byte moving before either core gives up on it — the
+/// slow-loris defence, measured against [`Conn::last_progress`]. Idle
+/// keep-alive connections are never evicted.
+pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// A parsed head's framing facts, carried from `ReadHead` to `ReadBody`.
-#[derive(Debug, Clone, Copy)]
-pub struct HeadInfo {
-    /// Bytes of request line + headers + terminating empty line.
-    pub head_len: usize,
-    /// Advertised `Content-Length` (0 when absent).
-    pub content_length: usize,
-}
-
-impl HeadInfo {
-    /// Total framed size of the request: head plus body.
-    pub fn total_len(&self) -> usize {
-        self.head_len + self.content_length
-    }
-}
-
-/// What one incremental head-parse attempt produced.
-#[derive(Debug)]
-pub enum HeadOutcome {
-    /// Head complete: method/path/keep-alive are parsed into the scratch
-    /// request; the body (if any) still needs `content_length` bytes.
-    Complete(HeadInfo),
-    /// Not enough bytes yet; keep reading.
-    Partial,
-    /// Malformed or unsupported framing; close without answering (the
-    /// blocking core's `ReadOutcome::Closed`).
-    Malformed,
-    /// A size limit tripped but framing was intact enough to answer:
-    /// write this error (`Connection: close`), then drain and close.
-    Reject {
-        /// 413 (body too large) or 431 (head too large / too many headers).
-        status: u16,
-        /// Human-readable reason for the error envelope.
-        message: &'static str,
-    },
-}
-
-/// One complete line (through `\n`) starting at `*pos`, or `None`.
-fn next_line<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let rest = &buf[*pos..];
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    *pos += nl + 1;
-    Some(&rest[..=nl])
-}
-
-/// Incrementally parses an HTTP/1.1 request head out of `buf`, writing
-/// method, path and keep-alive into the reused `req` scratch (body is
-/// left alone — the caller copies it once `content_length` bytes are
-/// buffered). Re-run from scratch whenever more bytes arrive; heads are
-/// capped at 8 KiB so the rescan stays trivially cheap.
-///
-/// Limit and malformed-framing behaviour mirrors `http::read_request`
-/// outcome-for-outcome; `tests/reactor.rs` holds the two byte-identical.
-pub fn parse_head(buf: &[u8], req: &mut Request) -> HeadOutcome {
-    let mut pos = 0usize;
-
-    // Request line.
-    let Some(line) = next_line(buf, &mut pos) else {
-        return if buf.len() > MAX_HEAD_BYTES {
-            HeadOutcome::Reject {
-                status: 431,
-                message: "request line too long",
-            }
-        } else {
-            HeadOutcome::Partial
-        };
-    };
-    if line.len() > MAX_HEAD_BYTES {
-        return HeadOutcome::Reject {
-            status: 431,
-            message: "request line too long",
-        };
-    }
-    let text = String::from_utf8_lossy(line);
-    let text = text.trim_end();
-    let mut parts = text.split_whitespace();
-    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return HeadOutcome::Malformed;
-    };
-    if !version.starts_with("HTTP/1.") {
-        return HeadOutcome::Malformed;
-    }
-    req.method.clear();
-    req.method.push_str(method);
-    req.method.make_ascii_uppercase();
-    req.path.clear();
-    req.path
-        .push_str(target.split('?').next().unwrap_or(target));
-    req.keep_alive = true; // HTTP/1.1 default
-
-    // Headers.
-    let mut content_length = 0usize;
-    let mut head_bytes = line.len();
-    let mut headers = 0usize;
-    loop {
-        let Some(hline) = next_line(buf, &mut pos) else {
-            // An unterminated header line past the whole head budget can
-            // never become legal; answer now instead of buffering on.
-            return if buf.len() - pos > MAX_HEAD_BYTES {
-                HeadOutcome::Reject {
-                    status: 431,
-                    message: "header line too long",
-                }
-            } else {
-                HeadOutcome::Partial
-            };
-        };
-        if hline.len() > MAX_HEAD_BYTES {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "header line too long",
-            };
-        }
-        head_bytes += hline.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "request head exceeds 8 KiB",
-            };
-        }
-        let text = String::from_utf8_lossy(hline);
-        let text = text.trim_end();
-        if text.is_empty() {
-            break;
-        }
-        headers += 1;
-        if headers > MAX_HEADERS {
-            return HeadOutcome::Reject {
-                status: 431,
-                message: "too many header fields",
-            };
-        }
-        let Some((name, value)) = text.split_once(':') else {
-            return HeadOutcome::Malformed;
-        };
-        let name = name.trim();
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<u64>() {
-                Ok(n) if n as usize <= MAX_BODY_BYTES => content_length = n as usize,
-                Ok(_) => {
-                    return HeadOutcome::Reject {
-                        status: 413,
-                        message: "request body exceeds 1 MiB",
-                    }
-                }
-                Err(_) => return HeadOutcome::Malformed,
-            }
-        } else if name.eq_ignore_ascii_case("connection") {
-            req.keep_alive = !value.eq_ignore_ascii_case("close");
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return HeadOutcome::Malformed; // unsupported
-        }
-    }
-
-    HeadOutcome::Complete(HeadInfo {
-        head_len: pos,
-        content_length,
-    })
+/// A nonblocking socket with nothing to move, or a blocking one whose
+/// timeout expired (`TimedOut` on some platforms).
+fn is_would_block(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// The buffers and scratch one active connection borrows from the pool.
@@ -307,10 +159,11 @@ pub enum Step {
     Close,
 }
 
-/// One nonblocking connection owned by a reactor shard.
+/// One connection: nonblocking and owned by a reactor shard, or blocking
+/// and driven by a threaded-core worker ([`Conn::blocking`]).
 #[derive(Debug)]
 pub struct Conn {
-    /// The nonblocking socket.
+    /// The socket.
     pub stream: TcpStream,
     /// Current state-machine position.
     pub state: State,
@@ -329,6 +182,7 @@ pub struct Conn {
     pub interest: u32,
     drained: usize,
     peer_eof: bool,
+    blocking: bool,
 }
 
 impl Conn {
@@ -346,6 +200,19 @@ impl Conn {
             interest: 0,
             drained: 0,
             peer_eof: false,
+            blocking: false,
+        }
+    }
+
+    /// Wraps a blocking socket configured with read/write timeouts. A
+    /// timeout surfaces exactly as `WouldBlock` does on a nonblocking
+    /// socket (`WantRead`/`WantWrite`), and [`Conn::fill`] returns after
+    /// one successful read instead of reading until the socket would
+    /// block — which on a blocking socket means waiting out the timeout.
+    pub fn blocking(stream: TcpStream, now: Instant) -> Conn {
+        Conn {
+            blocking: true,
+            ..Conn::new(stream, now)
         }
     }
 
@@ -379,11 +246,11 @@ impl Conn {
                     bufs.read.truncate(len + n);
                     self.last_progress = now;
                     got = true;
-                    if n < want {
+                    if n < want || self.blocking {
                         break; // short read: socket is drained
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                Err(e) if is_would_block(&e) => {
                     bufs.read.truncate(len);
                     break;
                 }
@@ -407,34 +274,17 @@ impl Conn {
         loop {
             match self.state {
                 State::ReadHead => {
-                    let Some(bufs) = self.bufs.as_mut() else {
-                        return if self.peer_eof {
-                            Step::Close
-                        } else {
-                            Step::WantRead
-                        };
+                    let Some(bufs) = self.bufs.as_mut().filter(|b| !b.read.is_empty()) else {
+                        return self.want_read();
                     };
-                    if bufs.read.is_empty() {
-                        return if self.peer_eof {
-                            Step::Close
-                        } else {
-                            Step::WantRead
-                        };
-                    }
                     match parse_head(&bufs.read, &mut bufs.req) {
                         HeadOutcome::Complete(info) => {
                             self.head = Some(info);
                             self.state = State::ReadBody;
                         }
-                        HeadOutcome::Partial => {
-                            // EOF mid-head is a truncated request: close
-                            // without answering, like the blocking core.
-                            return if self.peer_eof {
-                                Step::Close
-                            } else {
-                                Step::WantRead
-                            };
-                        }
+                        // EOF mid-head is a truncated request: close
+                        // without answering.
+                        HeadOutcome::Partial => return self.want_read(),
                         HeadOutcome::Malformed => return Step::Close,
                         HeadOutcome::Reject { status, message } => {
                             return self.queue_reject(status, message, now);
@@ -445,20 +295,12 @@ impl Conn {
                     let info = self.head.expect("ReadBody requires a parsed head");
                     let bufs = self.bufs.as_mut().expect("ReadBody requires buffers");
                     if bufs.read.len() < info.total_len() {
-                        return if self.peer_eof {
-                            Step::Close
-                        } else {
-                            Step::WantRead
-                        };
+                        return self.want_read();
                     }
-                    bufs.req.body.clear();
-                    bufs.req
-                        .body
-                        .extend_from_slice(&bufs.read[info.head_len..info.total_len()]);
                     // Consume the framed request; pipelined successors
                     // slide to the front (usually a no-op copy of zero
                     // remaining bytes).
-                    bufs.read.drain(..info.total_len());
+                    info.take_body(&mut bufs.read, &mut bufs.req.body);
                     self.head = None;
                     self.state = State::Dispatch;
                     return Step::Dispatch;
@@ -471,35 +313,47 @@ impl Conn {
         }
     }
 
+    /// More bytes are needed: wait for them, or close once the peer has
+    /// sent its last.
+    fn want_read(&self) -> Step {
+        if self.peer_eof {
+            Step::Close
+        } else {
+            Step::WantRead
+        }
+    }
+
     /// Serializes `response` into the write buffer and transitions to
     /// `Write`. `keep` mirrors the blocking core's per-response choice
     /// (`req.keep_alive && !shutdown`).
-    pub fn queue_response(
-        &mut self,
-        response: &crate::http::Response,
-        keep: bool,
-        pool: &mut BufPool,
-    ) {
+    pub fn queue_response(&mut self, response: &Response, keep: bool, pool: &mut BufPool) {
         if self.bufs.is_none() {
             self.bufs = Some(pool.get());
         }
-        let bufs = self.bufs.as_mut().expect("bufs attached above");
+        self.queue(response, keep);
+    }
+
+    /// Queues the connection's last response — `Connection: close`, then
+    /// a bounded drain of whatever the peer is still sending — for
+    /// connections shed under overload. Flush next.
+    pub fn queue_final(&mut self, response: &Response, pool: &mut BufPool) {
+        self.queue_response(response, false, pool);
+        self.drain_after_write = true;
+    }
+
+    /// Queues a 413/431 reject the same way and flushes it.
+    fn queue_reject(&mut self, status: u16, message: &'static str, now: Instant) -> Step {
+        perfpred_core::metrics::counter("serve.rejected_requests").incr();
+        self.queue(&Response::error(status, message), false);
+        self.drain_after_write = true;
+        self.flush(now)
+    }
+
+    fn queue(&mut self, response: &Response, keep: bool) {
+        let bufs = self.bufs.as_mut().expect("queueing needs buffers");
         response.write_into(&mut bufs.write, keep);
         self.close_after_write = !keep;
         self.state = State::Write;
-    }
-
-    /// Queues a 413/431 reject: error response, `Connection: close`,
-    /// then drain. Returns the follow-up step from flushing.
-    fn queue_reject(&mut self, status: u16, message: &'static str, now: Instant) -> Step {
-        perfpred_core::metrics::counter("serve.rejected_requests").incr();
-        let response = crate::http::Response::error(status, message);
-        let bufs = self.bufs.as_mut().expect("reject follows a parse");
-        response.write_into(&mut bufs.write, false);
-        self.close_after_write = true;
-        self.drain_after_write = true;
-        self.state = State::Write;
-        self.flush(now)
     }
 
     /// Flushes the write buffer. `WantWrite` means the socket filled up
@@ -516,7 +370,7 @@ impl Conn {
                     self.write_pos += n;
                     self.last_progress = now;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::WantWrite,
+                Err(e) if is_would_block(&e) => return Step::WantWrite,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Step::Close,
             }
@@ -550,7 +404,7 @@ impl Conn {
                     self.drained += n;
                     self.last_progress = now;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::WantRead,
+                Err(e) if is_would_block(&e) => return Step::WantRead,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Step::Close,
             }
@@ -577,158 +431,6 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch() -> Request {
-        Request {
-            method: String::new(),
-            path: String::new(),
-            body: Vec::new(),
-            keep_alive: true,
-        }
-    }
-
-    /// Parses a full request (head + body) in one shot, the way the
-    /// reactor does across its ReadHead/ReadBody states.
-    fn parse_full(buf: &[u8], req: &mut Request) -> Result<Option<usize>, HeadOutcome> {
-        match parse_head(buf, req) {
-            HeadOutcome::Complete(info) => {
-                if buf.len() < info.total_len() {
-                    return Ok(None);
-                }
-                req.body.clear();
-                req.body
-                    .extend_from_slice(&buf[info.head_len..info.total_len()]);
-                Ok(Some(info.total_len()))
-            }
-            HeadOutcome::Partial => Ok(None),
-            other => Err(other),
-        }
-    }
-
-    #[test]
-    fn parses_incrementally_at_every_split_point() {
-        let raw = b"POST /predict?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 9\r\n\r\n{\"n\": 42}";
-        let mut req = scratch();
-        for split in 0..raw.len() {
-            assert!(
-                parse_full(&raw[..split], &mut req).unwrap().is_none(),
-                "prefix of {split} bytes must be Partial"
-            );
-        }
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/predict");
-        assert_eq!(req.body, b"{\"n\": 42}");
-        assert!(req.keep_alive);
-    }
-
-    #[test]
-    fn scratch_reuse_resets_every_field() {
-        let mut req = scratch();
-        let a = b"POST /long-path HTTP/1.1\r\nConnection: close\r\nContent-Length: 3\r\n\r\nabc";
-        parse_full(a, &mut req).unwrap().unwrap();
-        assert!(!req.keep_alive);
-        // A shorter request next: no stale suffix may survive.
-        let b = b"GET /b HTTP/1.1\r\n\r\n";
-        let consumed = parse_full(b, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, b.len());
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/b");
-        assert!(req.body.is_empty());
-        assert!(req.keep_alive, "keep-alive must reset to the 1.1 default");
-    }
-
-    #[test]
-    fn limits_match_the_blocking_parser() {
-        let mut req = scratch();
-        // Oversized Content-Length: 413 from the head alone.
-        let big = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert!(matches!(
-            parse_head(big.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 413, .. }
-        ));
-        // Unparseable Content-Length is malformed framing, not a reject.
-        assert!(matches!(
-            parse_head(
-                b"POST / HTTP/1.1\r\nContent-Length: umpteen\r\n\r\n",
-                &mut req
-            ),
-            HeadOutcome::Malformed
-        ));
-        // Chunked transfer unsupported.
-        assert!(matches!(
-            parse_head(
-                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                &mut req
-            ),
-            HeadOutcome::Malformed
-        ));
-        // Too many header fields.
-        let mut raw = String::from("GET / HTTP/1.1\r\n");
-        for i in 0..(MAX_HEADERS + 1) {
-            raw.push_str(&format!("X-H{i}: v\r\n"));
-        }
-        raw.push_str("\r\n");
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Cumulative head size cap.
-        let mut raw = String::from("GET / HTTP/1.1\r\n");
-        for i in 0..40 {
-            raw.push_str(&format!("X-Pad{i}: {}\r\n", "p".repeat(250)));
-        }
-        raw.push_str("\r\n");
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Oversized request line — even before its newline ever arrives.
-        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
-        assert!(matches!(
-            parse_head(raw.as_bytes(), &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        let unterminated = vec![b'a'; MAX_HEAD_BYTES + 1];
-        assert!(matches!(
-            parse_head(&unterminated, &mut req),
-            HeadOutcome::Reject { status: 431, .. }
-        ));
-        // Bad version / garbage.
-        assert!(matches!(
-            parse_head(b"GET / SPDY/9\r\n\r\n", &mut req),
-            HeadOutcome::Malformed
-        ));
-        assert!(matches!(
-            parse_head(b"garbage\r\n\r\n", &mut req),
-            HeadOutcome::Malformed
-        ));
-    }
-
-    #[test]
-    fn pipelined_requests_consume_exactly_one_frame() {
-        let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut req = scratch();
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(req.path, "/a");
-        let rest = &raw[consumed..];
-        let consumed = parse_full(rest, &mut req).unwrap().unwrap();
-        assert_eq!(req.path, "/b");
-        assert_eq!(consumed, rest.len());
-    }
-
-    #[test]
-    fn bare_lf_lines_parse_like_the_blocking_core() {
-        let mut req = scratch();
-        let raw = b"GET /lf HTTP/1.1\nHost: h\n\n";
-        let consumed = parse_full(raw, &mut req).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(req.path, "/lf");
-    }
 
     #[test]
     fn pool_recycles_and_sheds_outsized_buffers() {

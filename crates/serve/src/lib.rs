@@ -8,8 +8,12 @@
 //! manager must consume predictions *online* — turned into a long-running
 //! service instead of a batch sweep.
 //!
-//! The daemon is a std-only, multi-threaded TCP server speaking a
-//! hand-rolled subset of HTTP/1.1 (the workspace stays dependency-free).
+//! The daemon is a std-only TCP server speaking HTTP/1.1 through the
+//! workspace's one codec, [`perfpred_core::http`] (the workspace stays
+//! dependency-free). Two cores serve it: the sharded epoll
+//! [`reactor`] on Linux, and the threaded [`server`] — a blocking driver
+//! of the same [`conn::Conn`] state machine, the serving path elsewhere
+//! and the reactor's differential oracle.
 //! It hosts the layered queuing, hybrid and (when calibrated) historical
 //! predictors behind [`perfpred_core::PredictionCache`] and answers:
 //!
@@ -36,7 +40,8 @@
 //!          accept loop (bounded queue, overload ⇒ 503)
 //!               │
 //!     ┌─────────┼─────────┐
-//!  worker    worker     worker      HTTP parse + route + admission
+//!  worker    worker     worker      conn::Conn (core::http) + route
+//!     │         │          │        + admission
 //!     │         │          │
 //!     │   cache hit? ──────┼──────▶ answer in-line (µs path)
 //!     │         │          │
@@ -57,13 +62,16 @@ pub mod arrivals;
 pub mod batch;
 pub mod config;
 pub mod conn;
-pub mod http;
 pub mod models;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod router;
 pub mod server;
 pub mod shutdown;
+
+/// The request/response types and limits the daemon speaks: the
+/// workspace's one HTTP/1.1 codec.
+pub use perfpred_core::http;
 
 pub use admission::{AdmissionController, Verdict};
 pub use arrivals::{ArrivalMeter, ArrivalRates};

@@ -60,8 +60,9 @@ pub struct ModelHost {
     /// Layered queuing behind a cache; misses route to the solver pool.
     pub lqns: PredictionCache<LqnPredictor>,
     /// Historical predictions through the registry's current model. The
-    /// cache keys carry the model version, so a hot swap invalidates
-    /// stale entries without flushing in-flight work.
+    /// cache keys carry the registry's version, so any publish — local
+    /// refit or replicated — invalidates stale entries without flushing
+    /// in-flight work.
     pub historical: PredictionCache<RegistryModel>,
     /// The versioned model registry behind `historical` (shared with the
     /// observation store that publishes refits into it).
@@ -85,7 +86,7 @@ impl ModelHost {
         cache: &CacheOptions,
         store: &ObservationStore,
     ) -> ModelHost {
-        let host = match spec {
+        match spec {
             ModelSpec::Paper => Self::paper_with_registry(cache, store.registry()),
             ModelSpec::CalibratedQuick => {
                 let ctx = Experiments::quick(seed);
@@ -97,9 +98,7 @@ impl ModelHost {
                 store.seed_if_empty(ctx.historical().clone());
                 Self::calibrated(&ctx, cache, store.registry())
             }
-        };
-        host.note_model_version();
-        host
+        }
     }
 
     /// Paper mode with a standalone (empty) registry — handy in tests.
@@ -148,14 +147,6 @@ impl ModelHost {
             )),
             servers: Experiments::servers().to_vec(),
         }
-    }
-
-    /// Re-reads the registry's current version into the historical cache's
-    /// key space. Call after any publish (refit, seed, replay) so entries
-    /// cached against older versions become unreachable without flushing
-    /// other methods' entries or in-flight solves.
-    pub fn note_model_version(&self) {
-        self.historical.set_model_version(self.registry.version());
     }
 
     /// Wire names of the methods this host can answer.
@@ -215,6 +206,7 @@ impl ModelHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perfpred_core::PerformanceModel;
 
     #[test]
     fn method_names_round_trip() {
@@ -278,7 +270,6 @@ mod tests {
             .build()
             .unwrap();
         host.registry.publish(model, 4, RefitTrigger::Window);
-        host.note_model_version();
 
         assert!(host.hosts(Method::Historical));
         assert_eq!(host.available(), vec!["historical", "lqns", "hybrid"]);

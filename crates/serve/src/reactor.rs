@@ -43,7 +43,7 @@
 //! byte-identical over a differential request trace.
 
 use crate::batch::solver_loop;
-use crate::conn::{BufPool, Conn, State, Step};
+use crate::conn::{BufPool, Conn, State, Step, DEFAULT_STALL_TIMEOUT};
 use crate::http::{Request, Response};
 use crate::router::App;
 use crate::shutdown::Shutdown;
@@ -73,11 +73,6 @@ const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 /// Extra connections (beyond `max_conns`) that may briefly occupy slab
 /// slots while a shed 503 flushes; past the slack the socket just drops.
 const SHED_SLACK: usize = 256;
-/// Default eviction threshold for connections stalled mid-request,
-/// mid-response or mid-drain — the reactor's slow-loris defence,
-/// matching the threaded core's ~100 × 100 ms mid-request stall budget.
-/// Idle keep-alive connections are never evicted.
-pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default cap on concurrently open connections across all shards,
 /// comfortably under a 20k fd ulimit with headroom for listener/epoll/
 /// eventfd/store descriptors.
@@ -595,8 +590,7 @@ impl Shard {
     fn shed(&mut self, stream: TcpStream, now: Instant) {
         let mut conn = Conn::new(stream, now);
         let response = Response::error(503, "server is overloaded, retry later");
-        conn.queue_response(&response, false, &mut self.pool);
-        conn.drain_after_write = true;
+        conn.queue_final(&response, &mut self.pool);
         match conn.flush(now) {
             Step::WantWrite => {
                 if self.open_conns.load(Ordering::Relaxed) < self.max_conns + SHED_SLACK {

@@ -431,10 +431,6 @@ impl App {
                 return Response::error(500, &format!("observation log I/O failed: {e}"))
             }
         };
-        if !outcome.refits.is_empty() {
-            // Re-key the historical cache so stale entries age out.
-            self.host.note_model_version();
-        }
         let mut out = Json::obj();
         out.set("accepted", outcome.accepted);
         out.set("observations", self.store.observations());
@@ -1205,13 +1201,13 @@ mod tests {
         let app = app();
         let r = app.handle(&request("DELETE", "/predict", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("POST"));
+        assert_eq!(r.allow.as_deref(), Some("POST"));
         let r = app.handle(&request("POST", "/healthz", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("GET"));
+        assert_eq!(r.allow.as_deref(), Some("GET"));
         let r = app.handle(&request("PUT", "/cluster", ""));
         assert_eq!(r.status, 405);
-        assert_eq!(r.allow, Some("GET"));
+        assert_eq!(r.allow.as_deref(), Some("GET"));
         // Unknown paths stay 404 with no Allow.
         let r = app.handle(&request("DELETE", "/nope", ""));
         assert_eq!((r.status, r.allow), (404, None));
@@ -1535,7 +1531,7 @@ mod tests {
 
         // Wrong method answers 405 with Allow.
         let r = app.handle(&request("GET", "/admin/threshold", ""));
-        assert_eq!((r.status, r.allow), (405, Some("POST")));
+        assert_eq!((r.status, r.allow.as_deref()), (405, Some("POST")));
         drain(&app);
     }
 

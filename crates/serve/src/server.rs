@@ -1,17 +1,23 @@
-//! The TCP server: bounded accept queue, connection worker pool, solver
-//! pool, and the graceful-drain ordering between them.
+//! The threaded serving core: bounded accept queue, connection worker
+//! pool, solver pool, and the graceful-drain ordering between them.
+//!
+//! Each worker is a blocking driver of the same [`Conn`] state machine
+//! the reactor runs over nonblocking sockets, so both cores share
+//! parsing, body framing, pipelining and reject-then-drain. This core is
+//! the serving path off Linux and the reactor's differential oracle.
 
 use crate::batch::solver_loop;
-use crate::http::{read_request, ReadOutcome, Response};
+use crate::conn::{BufPool, Conn, State, Step, DEFAULT_STALL_TIMEOUT};
+use crate::http::Response;
 use crate::router::App;
 use crate::shutdown::Shutdown;
 use perfpred_core::faults::{self, FaultSite};
 use perfpred_core::metrics;
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Read as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Socket read timeout: the cadence at which idle keep-alive connections
 /// re-check the shutdown flag.
@@ -193,49 +199,19 @@ impl Server {
     }
 }
 
-/// Upper bound on bytes drained from a connection we are closing with an
-/// error response. Enough for any in-flight request head plus a capped
-/// body; past this the peer is hostile and an RST is acceptable.
-const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
-
-/// Best-effort 503 for connections shed at the accept queue.
-///
-/// The response is written *first*, then the unread request bytes are
-/// drained before the socket drops. Closing with unread data pending
-/// makes the kernel send an RST, which on many stacks discards the
-/// just-queued response — the pre-fix behaviour meant a client midway
-/// through POSTing a body saw a connection reset instead of the 503.
+/// Best-effort 503 for connections shed at the accept queue: written
+/// first, then the unread request bytes are drained so the close is a FIN
+/// the client can read the 503 through, not an RST that destroys it.
 fn reject_overloaded(stream: TcpStream) {
-    use std::io::Write as _;
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
-    let mut scratch = Vec::with_capacity(256);
-    Response::error(503, "server is overloaded, retry later").write_into(&mut scratch, false);
-    if stream.write_all(&scratch).is_err() {
-        return;
-    }
-    drain_then_close(stream);
-}
-
-/// Signals end-of-response, then reads (and discards) whatever the peer
-/// is still sending, bounded by [`DRAIN_BUDGET_BYTES`] and the socket
-/// read timeout, so the close is a FIN rather than an RST.
-fn drain_then_close(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut sink = [0u8; 4096];
-    let mut drained = 0usize;
-    while drained < DRAIN_BUDGET_BYTES {
-        match stream.read(&mut sink) {
-            Ok(0) => return, // peer saw our FIN and finished
-            Ok(n) => drained += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Timeout or hard error: the peer went quiet without closing;
-            // we have given it a fair window to read the response.
-            Err(_) => return,
-        }
-    }
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
+    let mut pool = BufPool::new(1);
+    let mut conn = Conn::blocking(stream, Instant::now());
+    conn.queue_final(
+        &Response::error(503, "server is overloaded, retry later"),
+        &mut pool,
+    );
+    let _ = conn.flush(Instant::now());
 }
 
 /// One connection worker: pull a connection, serve its keep-alive request
@@ -255,7 +231,7 @@ fn worker_loop(app: &App, conns: &ConnQueue, shutdown: &Shutdown) {
 }
 
 /// Serves requests off one connection until the peer closes, asks to
-/// close, errors, or shutdown interrupts an idle wait.
+/// close, errors, stalls mid-request, or shutdown interrupts an idle wait.
 fn serve_connection(app: &App, stream: TcpStream, shutdown: &Shutdown) {
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
         || stream
@@ -265,49 +241,43 @@ fn serve_connection(app: &App, stream: TcpStream, shutdown: &Shutdown) {
     {
         return;
     }
-    use std::io::Write as _;
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // One scratch buffer serializes every response on this connection —
-    // status line, headers and body become a single write instead of
-    // per-request `write!` formatting straight into the socket.
-    let mut scratch: Vec<u8> = Vec::with_capacity(1024);
+    let mut pool = BufPool::new(1);
+    let mut conn = Conn::blocking(stream, Instant::now());
+    let mut step = Step::WantRead;
     loop {
-        match read_request(&mut reader) {
-            Ok(ReadOutcome::Request(req)) => {
-                let response = app.handle(&req);
+        let now = Instant::now();
+        step = match step {
+            Step::Dispatch => {
+                let req = &conn.bufs.as_ref().expect("a parsed request").req;
+                let response = app.handle(req);
                 // An idle daemon drains instantly; one that is answering
                 // closes each connection after the in-flight response.
                 let keep = req.keep_alive && !shutdown.requested();
-                scratch.clear();
-                response.write_into(&mut scratch, keep);
-                if writer.write_all(&scratch).is_err() || !keep {
-                    return;
-                }
+                conn.queue_response(&response, keep, &mut pool);
+                conn.flush(now)
             }
-            Ok(ReadOutcome::Idle) => {
-                if shutdown.requested() {
-                    return;
+            // The post-reject drain timed out: the peer has had its window.
+            Step::WantRead if conn.state == State::Drain => return,
+            Step::WantRead => {
+                match conn.fill(&mut pool, now) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        conn.release_if_idle(&mut pool);
+                        if conn.is_idle() {
+                            if shutdown.requested() {
+                                return;
+                            }
+                        } else if now.duration_since(conn.last_progress) > DEFAULT_STALL_TIMEOUT {
+                            return;
+                        }
+                    }
+                    Err(_) => return,
                 }
+                conn.advance(now)
             }
-            Ok(ReadOutcome::Reject { status, message }) => {
-                // A size limit tripped but the framing was intact: answer
-                // with the status, then close. The unread remainder (e.g.
-                // an oversized body the parser refused to buffer) is
-                // drained so the response survives the close.
-                metrics::counter("serve.rejected_requests").incr();
-                scratch.clear();
-                Response::error(status, message).write_into(&mut scratch, false);
-                if writer.write_all(&scratch).is_ok() {
-                    drain_then_close(reader.into_inner());
-                }
-                return;
-            }
-            Ok(ReadOutcome::Closed) | Err(_) => return,
-        }
+            // A write timed out, or the connection is done.
+            Step::WantWrite | Step::Close => return,
+        };
     }
 }
 
@@ -319,7 +289,7 @@ mod tests {
     use crate::models::ModelHost;
     use perfpred_core::CacheOptions;
     use perfpred_resman::RuntimeOptions;
-    use std::io::Write as _;
+    use std::io::{Read as _, Write as _};
 
     fn start() -> (SocketAddr, Arc<Shutdown>, std::thread::JoinHandle<()>) {
         let app = App::new(
@@ -380,25 +350,19 @@ mod tests {
         stream
             .write_all(b"DELETE /predict HTTP/1.1\r\nHost: h\r\n\r\n")
             .unwrap();
-        let mut first = String::new();
-        let mut buf = [0u8; 4096];
-        // Accumulate until the JSON error body's closing brace arrives —
-        // one response can straddle reads.
-        while !first.contains('}') {
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "connection reset instead of a 405: {first:?}");
-            first.push_str(&String::from_utf8_lossy(&buf[..n]));
-        }
-        assert!(first.starts_with("HTTP/1.1 405"), "{first}");
-        assert!(first.contains("Allow: POST\r\n"), "{first}");
-        assert!(first.contains("Connection: keep-alive"), "{first}");
+        // The exact bytes, so `Allow` and `Connection: keep-alive` are
+        // checked on the wire, not through a parser's defaults.
+        let mut expected = Vec::new();
+        Response::method_not_allowed("POST").write_into(&mut expected, true);
+        let mut first = vec![0u8; expected.len()];
+        stream.read_exact(&mut first).unwrap();
+        assert_eq!(first, expected, "{}", String::from_utf8_lossy(&first));
         // The same socket still answers the next (correct) request.
         stream
             .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
             .unwrap();
-        let mut rest = String::new();
-        stream.read_to_string(&mut rest).unwrap();
-        assert!(rest.starts_with("HTTP/1.1 200"), "{rest}");
+        let (rest, _) = Response::read_from(&mut stream, &mut Vec::new()).unwrap();
+        assert_eq!(rest.status, 200);
         shutdown.request();
         handle.join().unwrap();
     }

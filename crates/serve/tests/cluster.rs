@@ -18,7 +18,7 @@ use perfpred_cluster::state::{ClusterState, Role};
 use perfpred_cluster::{RouterConfig, RouterServer};
 use perfpred_core::faults::{self, FaultPlan};
 use perfpred_core::metrics;
-use perfpred_core::CacheOptions;
+use perfpred_core::{CacheOptions, Json};
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
@@ -423,7 +423,11 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
         node_a.store.epoch().unwrap_or(0),
         0,
     ));
-    let outcome = rejoin_check(std::slice::from_ref(&node_b.hub_addr), &restarted, &node_a.store);
+    let outcome = rejoin_check(
+        std::slice::from_ref(&node_b.hub_addr),
+        &restarted,
+        &node_a.store,
+    );
     assert_ne!(
         outcome,
         RejoinOutcome::Primary,
@@ -436,4 +440,81 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
     std::fs::remove_dir_all(&dir_c).unwrap();
+}
+
+/// A follower's historical answers must follow refits that reach it by
+/// replication, not only the ones its own `/observe` handler publishes:
+/// the same `/predict`, asked before and after a replicated refit, must
+/// come back from the new model — bit-equal to the primary's answer.
+#[test]
+fn follower_historical_answers_follow_replicated_refits() {
+    let dir_a = scratch("refit-primary");
+    let dir_b = scratch("refit-follower");
+    let mut node_a = Node::start("refit-a", Role::Primary, &dir_a);
+    let mut node_b = Node::start("refit-b", Role::Follower, &dir_b);
+    node_b.follow(
+        vec![node_a.hub_addr.clone()],
+        false,
+        Duration::from_secs(3600),
+    );
+
+    // One refit window of AppServF measurements, scaled by `scale`.
+    let observe = |offset: usize, scale: f64| {
+        let batch: Vec<String> = (0..refit_opts().refit_window)
+            .map(|k| {
+                let (n, mrt) = observation_point(offset + k);
+                format!(
+                    r#"{{"server": "AppServF", "clients": {n}, "mrt_ms": {}}}"#,
+                    mrt * scale
+                )
+            })
+            .collect();
+        let body = format!(r#"{{"batch": [{}]}}"#, batch.join(", "));
+        let (status, text) = call(node_a.http_addr, "POST", "/observe", &body).unwrap();
+        assert_eq!(status, 200, "{text}");
+    };
+    let replicated = |what: &str| {
+        wait_until(what, Duration::from_secs(60), || {
+            node_b.store.log_len() == node_a.store.log_len()
+                && node_b.store.registry().version() == node_a.store.registry().version()
+        });
+        node_a.store.registry().version()
+    };
+    let probe = r#"{"method": "historical", "server": "AppServF", "clients": 700}"#;
+    let mrt_ms = |node: &Node| {
+        let (status, text) = call(node.http_addr, "POST", "/predict", probe).unwrap();
+        assert_eq!(status, 200, "{text}");
+        Json::parse(&text)
+            .unwrap()
+            .get("prediction")
+            .and_then(|p| p.get("mrt_ms"))
+            .and_then(Json::as_f64)
+            .unwrap()
+    };
+
+    observe(0, 1.0);
+    let first = replicated("the first model to replicate");
+    // 1. The follower answers (and caches) from the first model.
+    let before = mrt_ms(&node_b);
+    assert_eq!(before.to_bits(), mrt_ms(&node_a).to_bits());
+    // 2. A refit on a shifted curve reaches the follower by replication.
+    observe(7, 1.6);
+    assert!(replicated("the refit to replicate") > first);
+    // 3. The same question again.
+    let primary = mrt_ms(&node_a);
+    assert_ne!(
+        primary.to_bits(),
+        before.to_bits(),
+        "the refit must move the answer for this test to mean anything"
+    );
+    assert_eq!(
+        mrt_ms(&node_b).to_bits(),
+        primary.to_bits(),
+        "the follower answered from a superseded model"
+    );
+
+    node_a.stop_http();
+    node_b.stop_http();
+    std::fs::remove_dir_all(&dir_a).unwrap();
+    std::fs::remove_dir_all(&dir_b).unwrap();
 }

@@ -5,6 +5,7 @@
 
 #![cfg(target_os = "linux")]
 
+use perfpred_core::http::{self, HeadOutcome, Response};
 use perfpred_core::CacheOptions;
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
@@ -90,37 +91,28 @@ fn connect(addr: SocketAddr) -> TcpStream {
 }
 
 /// Reads exactly one HTTP/1.1 response frame (head + Content-Length body)
-/// so keep-alive connections can be read response-by-response.
-fn read_response(stream: &mut TcpStream) -> Vec<u8> {
+/// through the shared codec and returns its bytes verbatim, one byte per
+/// `read` so a pipelined successor is never consumed — keep-alive
+/// connections can be read response-by-response.
+fn recv_frame(stream: &mut TcpStream) -> Vec<u8> {
+    struct ByteAtATime<'a>(&'a mut TcpStream);
+    impl Read for ByteAtATime<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
     let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    let head_end = loop {
-        match stream.read(&mut byte) {
-            Ok(0) => panic!(
-                "connection closed mid-head after {} bytes: {:?}",
-                raw.len(),
-                String::from_utf8_lossy(&raw)
-            ),
-            Ok(_) => raw.push(byte[0]),
-            Err(e) => panic!("read failed: {e}"),
-        }
-        if raw.ends_with(b"\r\n\r\n") {
-            break raw.len();
-        }
-        assert!(raw.len() < 64 * 1024, "response head never terminated");
-    };
-    let head = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("every response carries Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).unwrap();
-    raw.extend_from_slice(&body);
-    raw
+    let mut head = Response::text(0, "");
+    match http::read_frame(&mut ByteAtATime(stream), &mut raw, |bytes| {
+        http::parse_response_head(bytes, &mut head)
+    }) {
+        Ok(HeadOutcome::Complete(info)) if raw.len() == info.total_len() => raw,
+        other => panic!(
+            "no single complete response ({other:?}) in {:?}",
+            String::from_utf8_lossy(&raw)
+        ),
+    }
 }
 
 fn frame(method: &str, path: &str, body: &str, close: bool) -> Vec<u8> {
@@ -158,7 +150,7 @@ fn one_byte_at_a_time_writes_still_parse() {
             thread::sleep(Duration::from_millis(1));
         }
     }
-    let reply = read_response(&mut stream);
+    let reply = recv_frame(&mut stream);
     assert_eq!(
         status_of(&reply),
         200,
@@ -205,7 +197,7 @@ fn adversarial_chunk_boundaries_reassemble() {
         stream.write_all(&raw[..split]).unwrap();
         thread::sleep(Duration::from_millis(5));
         stream.write_all(&raw[split..]).unwrap();
-        let reply = read_response(&mut stream);
+        let reply = recv_frame(&mut stream);
         assert_eq!(status_of(&reply), 200, "split at {split}");
         // The first reply computes, the rest hit the prediction cache;
         // normalize that one expected difference (the flag and the
@@ -234,7 +226,7 @@ fn pipelined_requests_answer_in_order() {
         serial
             .write_all(&frame("GET", "/models", "", false))
             .unwrap();
-        baseline.push(read_response(&mut serial));
+        baseline.push(recv_frame(&mut serial));
     }
 
     // The same five requests in a single write burst.
@@ -245,7 +237,7 @@ fn pipelined_requests_answer_in_order() {
     }
     stream.write_all(&burst).unwrap();
     for (i, expected) in baseline.iter().enumerate() {
-        let reply = read_response(&mut stream);
+        let reply = recv_frame(&mut stream);
         assert_eq!(expected, &reply, "pipelined response {i} diverged");
     }
 }
@@ -276,7 +268,7 @@ fn slow_loris_is_evicted_but_idle_keepalive_survives() {
 
     // The idle connection still serves.
     idle.write_all(&frame("GET", "/healthz", "", true)).unwrap();
-    let reply = read_response(&mut idle);
+    let reply = recv_frame(&mut idle);
     assert_eq!(status_of(&reply), 200);
     server.stop();
 }
@@ -328,20 +320,20 @@ fn threaded_and_reactor_traces_are_byte_identical() {
         let mut stream = connect(addr);
         for req in &trace {
             stream.write_all(req).unwrap();
-            replies.push(read_response(&mut stream));
+            replies.push(recv_frame(&mut stream));
         }
         // Reject path on its own connection (the server closes it).
         let mut stream = connect(addr);
         stream
             .write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n")
             .unwrap();
-        replies.push(read_response(&mut stream));
+        replies.push(recv_frame(&mut stream));
         // Shutdown last: its response and Connection: close must match.
         let mut stream = connect(addr);
         stream
             .write_all(&frame("POST", "/shutdown", "", false))
             .unwrap();
-        replies.push(read_response(&mut stream));
+        replies.push(recv_frame(&mut stream));
         replies
     };
 
@@ -384,7 +376,7 @@ fn many_keepalive_connections_multiplex_on_few_threads() {
         stream
             .write_all(&frame("GET", "/models", "", false))
             .unwrap();
-        let reply = read_response(stream);
+        let reply = recv_frame(stream);
         assert_eq!(status_of(&reply), 200, "conn {i}");
     }
     // Second round in reverse order: the connections are still alive.
@@ -392,7 +384,7 @@ fn many_keepalive_connections_multiplex_on_few_threads() {
         stream
             .write_all(&frame("GET", "/models", "", false))
             .unwrap();
-        let reply = read_response(stream);
+        let reply = recv_frame(stream);
         assert_eq!(status_of(&reply), 200);
     }
 }

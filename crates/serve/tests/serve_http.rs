@@ -1,13 +1,14 @@
 //! End-to-end tests: a real daemon on an ephemeral port, raw TCP clients,
 //! the full worker/solver/drain machinery engaged.
 
+use perfpred_core::http::{self, HeadOutcome, Response};
 use perfpred_core::{CacheOptions, Json};
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
 use perfpred_serve::{ModelHost, Server, Shutdown};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -56,23 +57,8 @@ fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
         body.len()
     )
     .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &str) -> (u16, String) {
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or_else(|| panic!("no status line in {raw:?}"))
-        .parse()
-        .unwrap();
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let (resp, _) = Response::read_from(&mut stream, &mut Vec::new()).unwrap();
+    (resp.status, String::from_utf8(resp.body).unwrap())
 }
 
 fn json(body: &str) -> Json {
@@ -149,6 +135,7 @@ fn healthz_predict_plan_and_metrics_over_the_wire() {
 fn keep_alive_serves_many_requests_on_one_connection() {
     let d = Daemon::start(CacheOptions::default());
     let mut stream = TcpStream::connect(d.addr).unwrap();
+    let mut buf = Vec::new();
     let body = r#"{"method": "hybrid", "clients": 80}"#;
     for i in 0..5 {
         write!(
@@ -157,26 +144,20 @@ fn keep_alive_serves_many_requests_on_one_connection() {
             body.len()
         )
         .unwrap();
-        // Read exactly one response (headers + declared body length).
-        let mut buf = Vec::new();
-        let mut byte = [0u8; 1];
-        while !buf.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut byte).unwrap();
-            buf.extend_from_slice(&byte);
-        }
-        let head = String::from_utf8_lossy(&buf).to_string();
+        let mut resp = Response::text(0, "");
+        let framed = http::read_frame(&mut stream, &mut buf, |b| {
+            http::parse_response_head(b, &mut resp)
+        });
+        let Ok(HeadOutcome::Complete(info)) = framed else {
+            panic!("request {i}: no response: {framed:?}");
+        };
+        // Checked on the raw head: a missing `Connection` header would
+        // also parse as keep-alive.
+        let head = String::from_utf8_lossy(&buf[..info.head_len]).into_owned();
         assert!(head.starts_with("HTTP/1.1 200"), "request {i}: {head}");
         assert!(head.contains("Connection: keep-alive"), "{head}");
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        let mut rest = vec![0u8; len];
-        stream.read_exact(&mut rest).unwrap();
-        let payload = json(std::str::from_utf8(&rest).unwrap());
+        info.take_body(&mut buf, &mut resp.body);
+        let payload = json(std::str::from_utf8(&resp.body).unwrap());
         assert_eq!(
             payload.get("cached").and_then(Json::as_bool),
             Some(i > 0),

@@ -32,6 +32,6 @@ pub mod registry;
 
 pub use log::{LogOptions, ObservationLog, ReplayReport, SegmentReader};
 pub use pipeline::{IngestOutcome, LogWatch, ObservationStore, RefitEvent};
-pub use record::{crc32, Observation, StoreError, RECORD_BYTES, SERVER_NAME_BYTES};
+pub use record::{Observation, StoreError, RECORD_BYTES, SERVER_NAME_BYTES};
 pub use refit::{AnchorGrid, RefitOptions, RefitTrigger, Refitter};
 pub use registry::{ModelRegistry, ModelVersion, RegistryModel};

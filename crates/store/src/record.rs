@@ -22,6 +22,7 @@
 //!     60     4  CRC-32 (IEEE) of bytes 0..60
 //! ```
 
+use perfpred_core::frame::crc32;
 use std::fmt;
 
 /// Size of one encoded observation record.
@@ -163,37 +164,6 @@ impl Observation {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +177,6 @@ mod tests {
             throughput_rps: 59.8,
             timestamp_us: 1_722_000_000_000_000,
         }
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -111,9 +111,15 @@ impl ModelRegistry {
         }
     }
 
-    /// The current version number; 0 while the registry is empty.
+    /// The current version number; 0 while the registry is empty. Reads
+    /// through the pointer without reviving an `Arc`, so a per-request
+    /// cache-key lookup costs no shared refcount traffic. Acquire pairs
+    /// with `publish`'s Release: a reader that sees version `v` answers
+    /// from `v` or newer.
     pub fn version(&self) -> u64 {
-        self.current().map_or(0, |v| v.version)
+        // SAFETY: as in `current`, `versions` or `retired` keeps the entry
+        // behind a non-null pointer alive for the registry's lifetime.
+        unsafe { self.current.load(Ordering::Acquire).as_ref() }.map_or(0, |v| v.version)
     }
 
     /// Snapshot of every published version, oldest first.
@@ -174,6 +180,12 @@ impl PerformanceModel for RegistryModel {
         self.current()?
             .model
             .max_clients(server, template, rt_goal_ms)
+    }
+
+    /// The registry's current version, so a cache over this view re-keys
+    /// on every publish, local or replicated alike.
+    fn model_version(&self) -> u64 {
+        self.registry.version()
     }
 }
 
