@@ -2,13 +2,17 @@
 //! over the paper's 16-server scenario (the paper notes "each line was
 //! generated in under one second"; one line is a full load sweep at one
 //! slack), and — via a counting `#[global_allocator]` — proof that a warm
-//! [`AmvaWorkspace`] makes the AMVA hot path heap-allocation-free.
+//! [`AmvaWorkspace`] makes the AMVA hot path heap-allocation-free, and a
+//! ceiling on the heap allocations of one whole layered solve.
 
 use perfpred_bench::timing::{group, Recorder};
+use perfpred_core::{ServerArch, Workload};
 use perfpred_hydra::{HistoricalModel, ServerObservations};
 use perfpred_lqns::mva::{
     solve_amva_into, AmvaOptions, AmvaWorkspace, ClosedNetwork, Station, StationKind,
 };
+use perfpred_lqns::trade::TradeLqnConfig;
+use perfpred_lqns::LqnPredictor;
 use perfpred_resman::algorithm::allocate;
 use perfpred_resman::costs::{sweep_loads, SweepConfig};
 use perfpred_resman::runtime::RuntimeOptions;
@@ -143,9 +147,55 @@ fn check_amva_zero_alloc(rec: &mut Recorder) {
     assert_eq!(allocs, 0, "warm solve_amva_into must not allocate");
 }
 
+/// Heap allocations a whole layered solve may make: building the Trade
+/// model, planning each level's submodel once, the solver state and the
+/// result. The per-iteration submodel solves allocate nothing.
+const LAYERED_SOLVE_ALLOCATION_CEILING: u64 = 250;
+
+/// Counts the heap allocations of warm-pool predictions at the Trade
+/// shape (browse + buy chains over the three case-study servers), the
+/// way the serving daemon's solver threads make them, and asserts
+/// [`LAYERED_SOLVE_ALLOCATION_CEILING`] per solve.
+fn check_layered_solve_allocs(rec: &mut Recorder) {
+    group("lqns_layered_solve_allocs");
+    let predictor = LqnPredictor::new(TradeLqnConfig::paper_table2());
+    let servers = ServerArch::case_study_servers();
+    let mut pool: Vec<AmvaWorkspace> = Vec::new();
+    let workload =
+        |i: u32| Workload::with_buy_pct(1 + (i * 337) % 3_000, 5.0 + (i % 6) as f64 * 5.0);
+    // The first prediction sizes the pool's workspaces; it is excluded.
+    predictor
+        .predict_with_pool(&servers[0], &workload(0), &mut pool)
+        .unwrap();
+
+    const SOLVES: u32 = 60;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for i in 1..=SOLVES {
+        let server = &servers[i as usize % 3];
+        black_box(
+            predictor
+                .predict_with_pool(black_box(server), &workload(i), &mut pool)
+                .unwrap(),
+        );
+    }
+    let per_solve = (ALLOCATIONS.load(Ordering::SeqCst) - before) / u64::from(SOLVES);
+    println!(
+        "{:<52} {per_solve} allocations / solve",
+        "lqns_layered_solve_allocs/predict_with_pool"
+    );
+    rec.note("lqns_layered_solves", u64::from(SOLVES));
+    rec.note("lqns_allocations_per_layered_solve", per_solve);
+    assert!(
+        per_solve <= LAYERED_SOLVE_ALLOCATION_CEILING,
+        "a warm-pool layered solve made {per_solve} allocations \
+         (ceiling {LAYERED_SOLVE_ALLOCATION_CEILING})"
+    );
+}
+
 fn main() {
     let mut rec = Recorder::new("bench.allocator");
     check_amva_zero_alloc(&mut rec);
+    check_layered_solve_allocs(&mut rec);
     bench_allocate(&mut rec);
     bench_full_sweep_line(&mut rec);
     rec.write();

@@ -347,19 +347,20 @@ impl<M: PerformanceModel> PredictionCache<M> {
         if let Some(capacity) = self.options.capacity {
             let per_shard = capacity.max(1).div_ceil(self.shards.len());
             if map.len() > per_shard {
-                // Batch eviction amortizes the recency sort: drop the
+                // Batch eviction amortizes the recency scan: drop the
                 // oldest eighth (at least the overflow) in one pass.
+                // Stamps are unique ticks, so the batch-th smallest is a
+                // cutoff that selects exactly the `batch` oldest entries,
+                // found without sorting or cloning any key.
                 let excess = map.len() - per_shard;
                 let batch = excess.max(per_shard / 8).max(1);
-                let mut by_age: Vec<(u64, Key)> = map
-                    .iter()
-                    .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), k.clone()))
+                let mut stamps: Vec<u64> = map
+                    .values()
+                    .map(|e| e.last_used.load(Ordering::Relaxed))
                     .collect();
-                by_age.sort_unstable_by_key(|(age, _)| *age);
-                for (_, old) in by_age.into_iter().take(batch) {
-                    map.remove(&old);
-                    metrics::counter("predcache.evictions").incr();
-                }
+                let cutoff = *stamps.select_nth_unstable(batch - 1).1;
+                map.retain(|_, e| e.last_used.load(Ordering::Relaxed) > cutoff);
+                metrics::counter("predcache.evictions").add(batch as u64);
             }
         }
     }

@@ -70,7 +70,7 @@ pub mod solve;
 pub mod trade;
 
 pub use model::{EntryId, LqnModel, LqnModelBuilder, Multiplicity, ProcessorId, TaskId};
-pub use mva::{solve_amva_into, solve_mixed_with, AmvaWorkspace};
+pub use mva::{solve_amva_into, solve_mixed_into, solve_mixed_with, AmvaWorkspace};
 pub use predictor::LqnPredictor;
 pub use results::SolverResult;
 pub use solve::{solve, solve_with_pool, SolverOptions};

@@ -894,16 +894,47 @@ pub fn solve_mixed(net: &MixedNetwork, opts: &AmvaOptions) -> Result<MixedSoluti
     solve_mixed_with(net, opts, &mut ws)
 }
 
-/// [`solve_mixed`] against a caller-held workspace: the closed-chain
-/// fixed point runs entirely in the workspace's flat buffers (no clone of
-/// the network, no per-solve state allocation) and warm-starts from the
-/// workspace's previous solution when the shape matches. Only the
-/// returned [`MixedSolution`] itself is allocated.
+/// [`solve_mixed`] against a caller-held workspace: a thin wrapper over
+/// [`solve_mixed_into`] that copies the solution out of the workspace
+/// into an owned [`MixedSolution`]. The copy allocates; loops that
+/// re-solve a submodel should call [`solve_mixed_into`] and read the
+/// workspace instead.
 pub fn solve_mixed_with(
     net: &MixedNetwork,
     opts: &AmvaOptions,
     ws: &mut AmvaWorkspace,
 ) -> Result<MixedSolution, PredictError> {
+    let mut open_residence = Vec::new();
+    solve_mixed_into(net, opts, ws, &mut open_residence)?;
+    let sn = net.closed.stations.len();
+    let open_residence_ms: Vec<Vec<f64>> = (0..net.open.len())
+        .map(|o| open_residence[o * sn..(o + 1) * sn].to_vec())
+        .collect();
+    let open_response_ms = open_residence_ms
+        .iter()
+        .map(|row| row.iter().fold(0.0, |total, w| total + w))
+        .collect();
+    Ok(MixedSolution {
+        closed: ws.to_solution(),
+        open_residence_ms,
+        open_response_ms,
+    })
+}
+
+/// The allocation-free core of [`solve_mixed_with`]. The closed-chain
+/// fixed point runs entirely in the workspace's flat buffers and
+/// warm-starts from the workspace's previous solution when the shape
+/// matches; on success the closed solution is left in the workspace (read
+/// it through the accessors) and the open classes' residence times are
+/// written to `open_residence_ms`, indexed `[class * stations + station]`.
+/// With a warm workspace and a buffer that has held this shape before,
+/// the call performs no heap allocation (error messages aside).
+pub fn solve_mixed_into(
+    net: &MixedNetwork,
+    opts: &AmvaOptions,
+    ws: &mut AmvaWorkspace,
+    open_residence_ms: &mut Vec<f64>,
+) -> Result<(), PredictError> {
     net.closed.validate()?;
     let sn = net.closed.stations.len();
     for (o, oc) in net.open.iter().enumerate() {
@@ -947,14 +978,11 @@ pub fn solve_mixed_with(
     amva_fixed_point(&net.closed, opts, ws, true)?;
 
     // Open residences against the closed queues.
-    let mut open_residence = Vec::with_capacity(net.open.len());
-    let mut open_response = Vec::with_capacity(net.open.len());
+    open_residence_ms.clear();
     for oc in &net.open {
-        let mut per_station = Vec::with_capacity(sn);
-        let mut total = 0.0;
         for (s, st) in net.closed.stations.iter().enumerate() {
             let d = oc.demands[s];
-            let w = match st.kind {
+            open_residence_ms.push(match st.kind {
                 StationKind::Delay => d,
                 StationKind::Queueing { servers } => {
                     let m = f64::from(servers);
@@ -963,19 +991,10 @@ pub fn solve_mixed_with(
                     // Seidmann: queueing part on d/m, the rest pure delay.
                     (d / m) * (1.0 + q_closed) / (1.0 - ws.rho_open[s]) + d * (m - 1.0) / m
                 }
-            };
-            per_station.push(w);
-            total += w;
+            });
         }
-        open_residence.push(per_station);
-        open_response.push(total);
     }
-
-    Ok(MixedSolution {
-        closed: ws.to_solution(),
-        open_residence_ms: open_residence,
-        open_response_ms: open_response,
-    })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,11 +20,12 @@
 
 use crate::model::{LqnModel, Multiplicity, TaskKind};
 use crate::mva::{
-    solve_mixed_with, AmvaOptions, AmvaWorkspace, ClosedNetwork, MixedNetwork, OpenClass, Station,
+    solve_mixed_into, AmvaOptions, AmvaWorkspace, ClosedNetwork, MixedNetwork, OpenClass, Station,
     StationKind,
 };
 use crate::results::SolverResult;
 use perfpred_core::{metrics, PredictError};
+use std::ops::Range;
 
 /// Options for the layered solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,6 +172,498 @@ fn prepare(model: &LqnModel) -> Result<Prepared, PredictError> {
     })
 }
 
+/// The queueing station of a finite thread pool or processor (submodel
+/// stations are never infinite servers).
+fn queueing(multiplicity: Multiplicity) -> StationKind {
+    match multiplicity {
+        Multiplicity::Finite(servers) => StationKind::Queueing { servers },
+        Multiplicity::Infinite => unreachable!("infinite servers are never stations"),
+    }
+}
+
+/// One callee-pool demand term: sub-chain (or sub-stream) `ci` spends
+/// `coef × holding[target]` per cycle at callee station `si`.
+struct DemandTerm {
+    ci: usize,
+    si: usize,
+    /// `share × mean_calls`: calls per customer cycle.
+    coef: f64,
+    /// The called entry, whose thread-holding time is the per-call demand.
+    target: usize,
+}
+
+/// One level of the method of layers, planned once per solve.
+///
+/// Level 0: the client chains (full populations, think time Z_k) queue for
+/// the thread pools of the tasks they call.
+///
+/// Level ℓ ≥ 1: the *threads* of level-ℓ tasks are the customers —
+/// per-(chain, task) populations follow from Little's law (X·V·holding
+/// time, capped by N_k and the pool size) — and the stations are the
+/// tasks' host processors plus the thread pools of the tasks they call. A
+/// thread is always either executing on its processor or blocked in a
+/// callee, so the submodel think time is zero.
+///
+/// The submodel's structure — customers, stations, visit ratios, processor
+/// demands, open arrival rates — is fixed by the model. Each outer
+/// iteration only rewrites the sub-chain populations and the callee-pool
+/// demand columns ([`LevelPlan::update`]), solves the network in place and
+/// folds its residences back into the waits ([`LevelPlan::fold`]).
+struct LevelPlan {
+    /// Workspace slot in the pool: 1 + level.
+    slot: usize,
+    /// Whether the customers are threads (level ≥ 1), whose populations
+    /// follow the current throughputs and holding times.
+    threads: bool,
+    /// Original chain and customer task of each sub-chain.
+    sub_chains: Vec<(usize, usize)>,
+    /// Original open flow of each open sub-stream.
+    sub_streams: Vec<usize>,
+    /// Finite customer pools: the task's contiguous sub-chain range and
+    /// its thread count.
+    pool_caps: Vec<(Range<usize>, u32)>,
+    /// Callee thread pools (stations `0..callee_tasks.len()`).
+    callee_tasks: Vec<usize>,
+    /// Host processors (the stations after the callee pools).
+    host_procs: Vec<usize>,
+    /// Calls per cycle to each callee pool, `[ci * callees + si]`, for
+    /// residence → per-call wait conversion.
+    calls_per_cycle: Vec<f64>,
+    /// Processor visits per cycle, `[ci * procs + pi]`.
+    proc_visits_cycle: Vec<f64>,
+    /// The open sub-streams' equivalents of the two above.
+    open_calls_cycle: Vec<f64>,
+    open_pvisits_cycle: Vec<f64>,
+    /// Callee demand terms in accumulation order.
+    terms: Vec<DemandTerm>,
+    open_terms: Vec<DemandTerm>,
+    /// The submodel, kept allocated across iterations.
+    net: MixedNetwork,
+    /// Open residences of the last solve, `[oi * stations + s]`.
+    open_residence: Vec<f64>,
+    /// (wait·weight, weight) per original chain/flow and station:
+    /// `[k * callees + si]` and `[k * procs + pi]`.
+    tw_acc: Vec<(f64, f64)>,
+    pw_acc: Vec<(f64, f64)>,
+    otw_acc: Vec<(f64, f64)>,
+    opw_acc: Vec<(f64, f64)>,
+}
+
+impl LevelPlan {
+    /// Plans `level`'s submodel, or `None` when it has no customers or no
+    /// stations.
+    fn build(
+        model: &LqnModel,
+        prep: &Prepared,
+        level: usize,
+        task_visits: &[Vec<f64>],
+        open_task_visits: &[Vec<f64>],
+    ) -> Option<LevelPlan> {
+        let kn = prep.chains.len();
+        let on = prep.open_tasks.len();
+        let tn = model.tasks().len();
+        // Customer tasks at this level (reference chains at level 0). The
+        // deepest level has no callee pools, but its submodel still
+        // corrects the host processors' waits (the flat initialisation
+        // deliberately overestimates them).
+        let customer_tasks: Vec<usize> = (0..tn)
+            .filter(|&t| {
+                prep.depths[t] == level
+                    && if level == 0 {
+                        model.tasks()[t].is_reference()
+                    } else {
+                        !model.tasks()[t].is_source()
+                            && ((0..kn).any(|k| task_visits[k][t] > 0.0)
+                                || (0..on).any(|o| open_task_visits[o][t] > 0.0))
+                    }
+            })
+            .collect();
+        if customer_tasks.is_empty() {
+            return None;
+        }
+
+        // Sub-chains: one per (chain, customer task) pair with traffic.
+        // Thread populations are set by `update` before every solve.
+        let mut sub_chains = Vec::new();
+        let mut pool_caps = Vec::new();
+        for &t in &customer_tasks {
+            let first = sub_chains.len();
+            sub_chains.extend(
+                (0..kn)
+                    .filter(|&k| {
+                        if level == 0 {
+                            prep.chains[k] == t
+                        } else {
+                            task_visits[k][t] != 0.0
+                        }
+                    })
+                    .map(|k| (k, t)),
+            );
+            // Cap total thread-customers of a finite pool at its size.
+            if let (true, Multiplicity::Finite(m)) = (level > 0, model.tasks()[t].multiplicity) {
+                pool_caps.push((first..sub_chains.len(), m));
+            }
+        }
+        let (populations, think_ms): (Vec<f64>, Vec<f64>) = sub_chains
+            .iter()
+            .map(|&(k, _)| {
+                if level == 0 {
+                    let own = model.entries()[prep.ref_entry[k]].demand_ms;
+                    (prep.populations[k], prep.think_ms[k] + own)
+                } else {
+                    (0.0, 0.0)
+                }
+            })
+            .unzip();
+
+        // Open sub-streams through this level: at level 0 an open source
+        // injects its arrival stream; at deeper levels a stream follows
+        // the flow's visit counts through the level's tasks.
+        let mut sub_streams = Vec::new();
+        let mut stream_tasks = Vec::new();
+        let mut rates = Vec::new();
+        for (o, (&src, &rate)) in prep.open_tasks.iter().zip(&prep.open_rates).enumerate() {
+            if level == 0 {
+                sub_streams.push(o);
+                stream_tasks.push(src);
+                rates.push(rate);
+            } else {
+                for &t in &customer_tasks {
+                    let v = open_task_visits[o][t];
+                    if v > 0.0 {
+                        sub_streams.push(o);
+                        stream_tasks.push(t);
+                        rates.push(rate * v);
+                    }
+                }
+            }
+        }
+
+        // Stations: callee thread pools (finite multiplicity, any deeper
+        // level) and — for level ≥ 1 — the finite processors hosting the
+        // customer tasks (and open-stream source/carrier tasks).
+        let mut callee_tasks: Vec<usize> = Vec::new();
+        let mut host_procs: Vec<usize> = Vec::new();
+        for &t in customer_tasks.iter().chain(&stream_tasks) {
+            for e in &model.tasks()[t].entries {
+                for call in &model.entries()[e.0].calls {
+                    let t2 = model.entries()[call.target.0].task.0;
+                    if !model.tasks()[t2].multiplicity.is_infinite() && !callee_tasks.contains(&t2)
+                    {
+                        callee_tasks.push(t2);
+                    }
+                }
+            }
+            if level > 0 {
+                let p = model.tasks()[t].processor.0;
+                if !model.processors()[p].multiplicity.is_infinite() && !host_procs.contains(&p) {
+                    host_procs.push(p);
+                }
+            }
+        }
+        if callee_tasks.is_empty() && host_procs.is_empty() {
+            return None;
+        }
+
+        // Per-customer demands at each station, per customer-task visit.
+        let mut closed_rows = Rows::new(sub_chains.len(), level, &callee_tasks, &host_procs);
+        for (ci, &(k, t)) in sub_chains.iter().enumerate() {
+            let v_t = if level == 0 { 1.0 } else { task_visits[k][t] };
+            closed_rows.add(model, ci, t, &prep.visits[k], v_t);
+        }
+        let mut open_rows = Rows::new(sub_streams.len(), level, &callee_tasks, &host_procs);
+        for (oi, (&o, &t)) in sub_streams.iter().zip(&stream_tasks).enumerate() {
+            let v_t = if level == 0 {
+                1.0
+            } else {
+                open_task_visits[o][t]
+            };
+            open_rows.add(model, oi, t, &prep.open_visits[o], v_t);
+        }
+
+        let sn = callee_tasks.len() + host_procs.len();
+        let cn = sub_chains.len();
+        let net = MixedNetwork {
+            closed: ClosedNetwork {
+                populations,
+                think_ms,
+                stations: callee_tasks
+                    .iter()
+                    .map(|&t| queueing(model.tasks()[t].multiplicity))
+                    .chain(
+                        host_procs
+                            .iter()
+                            .map(|&p| queueing(model.processors()[p].multiplicity)),
+                    )
+                    .enumerate()
+                    .map(|(si, kind)| Station {
+                        kind,
+                        demands: (0..cn)
+                            .map(|ci| closed_rows.demands[ci * sn + si])
+                            .collect(),
+                    })
+                    .collect(),
+            },
+            open: rates
+                .iter()
+                .enumerate()
+                .map(|(oi, &rate_per_ms)| OpenClass {
+                    rate_per_ms,
+                    demands: open_rows.demands[oi * sn..(oi + 1) * sn].to_vec(),
+                })
+                .collect(),
+        };
+        Some(LevelPlan {
+            slot: 1 + level,
+            threads: level > 0,
+            sub_chains,
+            sub_streams,
+            pool_caps,
+            tw_acc: vec![(0.0, 0.0); kn * callee_tasks.len()],
+            pw_acc: vec![(0.0, 0.0); kn * host_procs.len()],
+            otw_acc: vec![(0.0, 0.0); on * callee_tasks.len()],
+            opw_acc: vec![(0.0, 0.0); on * host_procs.len()],
+            calls_per_cycle: closed_rows.calls_cycle,
+            proc_visits_cycle: closed_rows.pvisits_cycle,
+            open_calls_cycle: open_rows.calls_cycle,
+            open_pvisits_cycle: open_rows.pvisits_cycle,
+            terms: closed_rows.terms,
+            open_terms: open_rows.terms,
+            net,
+            open_residence: Vec::new(),
+            // Last: the rows above borrow these until they are moved out.
+            callee_tasks,
+            host_procs,
+        })
+    }
+
+    /// Rewrites the numbers that depend on the outer iteration's state:
+    /// thread populations (Little's law, capped by N_k and the pool size)
+    /// and the callee-pool demand columns (`coef × holding`, accumulated
+    /// in planning order).
+    fn update(
+        &mut self,
+        model: &LqnModel,
+        prep: &Prepared,
+        holding: &[Vec<f64>],
+        open_holding: &[Vec<f64>],
+        throughput_per_ms: &[f64],
+    ) {
+        let populations = &mut self.net.closed.populations;
+        if self.threads {
+            for (ci, &(k, t)) in self.sub_chains.iter().enumerate() {
+                let holding_total: f64 = model.tasks()[t]
+                    .entries
+                    .iter()
+                    .map(|e| prep.visits[k][e.0] * holding[k][e.0])
+                    .sum();
+                // Concurrently active chain-k threads of t (Little's law:
+                // X × thread-holding time per cycle).
+                populations[ci] = (throughput_per_ms[k] * holding_total).min(prep.populations[k]);
+            }
+            for (range, m) in &self.pool_caps {
+                let m = f64::from(*m);
+                let pool = &mut populations[range.clone()];
+                let total: f64 = pool.iter().sum();
+                if total > m {
+                    let scale = m / total;
+                    for p in pool {
+                        *p *= scale;
+                    }
+                }
+            }
+        }
+
+        let sn_tasks = self.callee_tasks.len();
+        for st in &mut self.net.closed.stations[..sn_tasks] {
+            st.demands.fill(0.0);
+        }
+        for term in &self.terms {
+            let k = self.sub_chains[term.ci].0;
+            self.net.closed.stations[term.si].demands[term.ci] +=
+                term.coef * holding[k][term.target];
+        }
+        for oc in &mut self.net.open {
+            oc.demands[..sn_tasks].fill(0.0);
+        }
+        for term in &self.open_terms {
+            let o = self.sub_streams[term.ci];
+            self.net.open[term.ci].demands[term.si] += term.coef * open_holding[o][term.target];
+        }
+    }
+
+    /// Folds the solved residences back into per-call / per-visit waits,
+    /// accumulating call-weighted means per original chain (and open
+    /// flow), and under-relaxes the waits toward them.
+    fn fold(
+        &mut self,
+        ws: &AmvaWorkspace,
+        under_relax: f64,
+        (task_wait, proc_wait): (&mut [Vec<f64>], &mut [Vec<f64>]),
+        (open_task_wait, open_proc_wait): (&mut [Vec<f64>], &mut [Vec<f64>]),
+    ) {
+        let sn_tasks = self.callee_tasks.len();
+        let sn_procs = self.host_procs.len();
+        let stations = &self.net.closed.stations;
+
+        self.tw_acc.fill((0.0, 0.0));
+        self.pw_acc.fill((0.0, 0.0));
+        for (ci, &(k, _)) in self.sub_chains.iter().enumerate() {
+            let (task_res, proc_res) = ws.residence_ms(ci).split_at(sn_tasks);
+            let population = self.net.closed.populations[ci];
+            accumulate(
+                &mut self.tw_acc[k * sn_tasks..(k + 1) * sn_tasks],
+                &self.calls_per_cycle[ci * sn_tasks..(ci + 1) * sn_tasks],
+                task_res,
+                |si| stations[si].demands[ci],
+                population,
+            );
+            accumulate(
+                &mut self.pw_acc[k * sn_procs..(k + 1) * sn_procs],
+                &self.proc_visits_cycle[ci * sn_procs..(ci + 1) * sn_procs],
+                proc_res,
+                |pi| stations[sn_tasks + pi].demands[ci],
+                population,
+            );
+        }
+        relax(&self.tw_acc, &self.callee_tasks, under_relax, task_wait);
+        relax(&self.pw_acc, &self.host_procs, under_relax, proc_wait);
+
+        // Open-stream waits from the open residences.
+        let sn = sn_tasks + sn_procs;
+        self.otw_acc.fill((0.0, 0.0));
+        self.opw_acc.fill((0.0, 0.0));
+        for (oi, (&o, oc)) in self.sub_streams.iter().zip(&self.net.open).enumerate() {
+            let (task_res, proc_res) =
+                self.open_residence[oi * sn..(oi + 1) * sn].split_at(sn_tasks);
+            let (task_demand, proc_demand) = oc.demands.split_at(sn_tasks);
+            accumulate(
+                &mut self.otw_acc[o * sn_tasks..(o + 1) * sn_tasks],
+                &self.open_calls_cycle[oi * sn_tasks..(oi + 1) * sn_tasks],
+                task_res,
+                |si| task_demand[si],
+                oc.rate_per_ms,
+            );
+            accumulate(
+                &mut self.opw_acc[o * sn_procs..(o + 1) * sn_procs],
+                &self.open_pvisits_cycle[oi * sn_procs..(oi + 1) * sn_procs],
+                proc_res,
+                |pi| proc_demand[pi],
+                oc.rate_per_ms,
+            );
+        }
+        relax(
+            &self.otw_acc,
+            &self.callee_tasks,
+            under_relax,
+            open_task_wait,
+        );
+        relax(&self.opw_acc, &self.host_procs, under_relax, open_proc_wait);
+    }
+}
+
+/// Adds one customer's waits to its chain's `(wait·weight, weight)`
+/// accumulators: at each station it visits `count > 0` times per cycle,
+/// the per-visit wait is `(residence − demand) / count`, weighted by
+/// `base × count` (`base` is the customer's population or arrival rate).
+fn accumulate(
+    acc: &mut [(f64, f64)],
+    counts: &[f64],
+    residence: &[f64],
+    demand: impl Fn(usize) -> f64,
+    base: f64,
+) {
+    for (s, (&count, &r)) in counts.iter().zip(residence).enumerate() {
+        if count > 0.0 {
+            let wait = ((r - demand(s)) / count).max(0.0);
+            let weight = base.max(1e-12) * count;
+            acc[s].0 += wait * weight;
+            acc[s].1 += weight;
+        }
+    }
+}
+
+/// Moves each `waits[k][targets[i]]` a fraction `under_relax` toward the
+/// weighted mean in `acc[k * targets.len() + i]`, where it has weight.
+fn relax(acc: &[(f64, f64)], targets: &[usize], under_relax: f64, waits: &mut [Vec<f64>]) {
+    for (k, row) in waits.iter_mut().enumerate() {
+        for (i, &target) in targets.iter().enumerate() {
+            let (sum, w) = acc[k * targets.len() + i];
+            if w > 0.0 {
+                let new_wait = sum / w;
+                row[target] += under_relax * (new_wait - row[target]);
+            }
+        }
+    }
+}
+
+/// The planned rows of one level's closed sub-chains or open sub-streams.
+struct Rows<'a> {
+    level: usize,
+    /// The level's callee pools (stations `0..callee_tasks.len()`) and
+    /// host processors (the stations after them).
+    callee_tasks: &'a [usize],
+    host_procs: &'a [usize],
+    /// Constant (host-processor) demands, `[row * stations + s]`; the
+    /// callee columns stay zero here and come from `terms`.
+    demands: Vec<f64>,
+    /// Calls per cycle to each callee pool, `[row * callees + si]`.
+    calls_cycle: Vec<f64>,
+    /// Host-processor visits per cycle, `[row * procs + pi]`.
+    pvisits_cycle: Vec<f64>,
+    terms: Vec<DemandTerm>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(rows: usize, level: usize, callee_tasks: &'a [usize], host_procs: &'a [usize]) -> Self {
+        let (sn_tasks, sn_procs) = (callee_tasks.len(), host_procs.len());
+        Rows {
+            level,
+            callee_tasks,
+            host_procs,
+            demands: vec![0.0; rows * (sn_tasks + sn_procs)],
+            calls_cycle: vec![0.0; rows * sn_tasks],
+            pvisits_cycle: vec![0.0; rows * sn_procs],
+            terms: Vec::new(),
+        }
+    }
+
+    /// Plans row `ci`, a customer of task `t` with per-cycle entry
+    /// `visits` and `v_t` visits to `t` per cycle.
+    fn add(&mut self, model: &LqnModel, ci: usize, t: usize, visits: &[f64], v_t: f64) {
+        let (sn_tasks, sn_procs) = (self.callee_tasks.len(), self.host_procs.len());
+        let sn = sn_tasks + sn_procs;
+        for e in &model.tasks()[t].entries {
+            let entry = &model.entries()[e.0];
+            let share = visits[e.0] / v_t;
+            if share == 0.0 {
+                continue;
+            }
+            for call in &entry.calls {
+                let t2 = model.entries()[call.target.0].task.0;
+                if let Some(si) = self.callee_tasks.iter().position(|&x| x == t2) {
+                    let coef = share * call.mean_calls;
+                    self.terms.push(DemandTerm {
+                        ci,
+                        si,
+                        coef,
+                        target: call.target.0,
+                    });
+                    self.calls_cycle[ci * sn_tasks + si] += coef;
+                }
+            }
+            let total_demand = entry.demand_ms + entry.phase2_demand_ms;
+            if self.level > 0 && total_demand > 0.0 {
+                let p = model.tasks()[t].processor.0;
+                if let Some(pi) = self.host_procs.iter().position(|&x| x == p) {
+                    self.demands[ci * sn + sn_tasks + pi] += share * total_demand;
+                    self.pvisits_cycle[ci * sn_procs + pi] += share;
+                }
+            }
+        }
+    }
+}
+
 /// Solves the model analytically. See the module docs for the algorithm.
 pub fn solve(model: &LqnModel, opts: &SolverOptions) -> Result<SolverResult, PredictError> {
     solve_with_pool(model, opts, &mut Vec::new())
@@ -187,6 +680,16 @@ pub fn solve(model: &LqnModel, opts: &SolverOptions) -> Result<SolverResult, Pre
 /// convergence tolerance, and callers needing bit-exact reproducibility
 /// across runs must pass pools with the same solve history (or fresh
 /// ones).
+///
+/// Each level's submodel is planned once per solve (a `LevelPlan`: its
+/// customers, stations, visit ratios and constant demands, plus a
+/// `MixedNetwork` that stays allocated). An outer iteration only rewrites
+/// the thread populations and callee-pool demands in place and solves
+/// with [`solve_mixed_into`], which leaves the solution in the workspace,
+/// so the iterations themselves allocate nothing once the pool is warm.
+/// What still allocates, once per solve: model preparation (visit
+/// vectors, the entry order), the waiting-time state, the flat seed
+/// network, the level plans and the returned [`SolverResult`].
 pub fn solve_with_pool(
     model: &LqnModel,
     opts: &SolverOptions,
@@ -285,6 +788,7 @@ pub fn solve_with_pool(
             })
             .collect();
         if !station_procs.is_empty() {
+            let sn = station_procs.len();
             let net = MixedNetwork {
                 closed: ClosedNetwork {
                     populations: prep.populations.clone(),
@@ -292,12 +796,7 @@ pub fn solve_with_pool(
                     stations: station_procs
                         .iter()
                         .map(|&p| Station {
-                            kind: StationKind::Queueing {
-                                servers: match model.processors()[p].multiplicity {
-                                    Multiplicity::Finite(m) => m,
-                                    Multiplicity::Infinite => unreachable!(),
-                                },
-                            },
+                            kind: queueing(model.processors()[p].multiplicity),
                             demands: (0..kn).map(|k| proc_demand[k][p]).collect(),
                         })
                         .collect(),
@@ -315,21 +814,23 @@ pub fn solve_with_pool(
             // An open load that saturates a processor is unstable: the
             // mixed solver rejects it here, before any iteration.
             mva_solves += 1;
-            let sol = solve_mixed_with(&net, &opts.amva, &mut ws_pool[0])?;
-            amva_iterations += sol.closed.iterations as u64;
+            let ws = &mut ws_pool[0];
+            let mut open_residence = Vec::new();
+            solve_mixed_into(&net, &opts.amva, ws, &mut open_residence)?;
+            amva_iterations += ws.iterations() as u64;
             for k in 0..kn {
+                let residence = ws.residence_ms(k);
                 for (si, &p) in station_procs.iter().enumerate() {
                     if proc_visits[k][p] > 0.0 {
-                        proc_wait[k][p] = ((sol.closed.residence_ms[k][si] - proc_demand[k][p])
-                            / proc_visits[k][p])
-                            .max(0.0);
+                        proc_wait[k][p] =
+                            ((residence[si] - proc_demand[k][p]) / proc_visits[k][p]).max(0.0);
                     }
                 }
             }
             for o in 0..on {
                 for (si, &p) in station_procs.iter().enumerate() {
                     if open_proc_visits[o][p] > 0.0 {
-                        open_proc_wait[o][p] = ((sol.open_residence_ms[o][si]
+                        open_proc_wait[o][p] = ((open_residence[o * sn + si]
                             - open_proc_demand[o][p])
                             / open_proc_visits[o][p])
                             .max(0.0);
@@ -338,6 +839,12 @@ pub fn solve_with_pool(
             }
         }
     }
+
+    // The level submodels' structure is fixed by the model: plan each
+    // once, then only update its numbers on every outer iteration.
+    let mut plans: Vec<LevelPlan> = (0..=max_depth)
+        .filter_map(|level| LevelPlan::build(model, &prep, level, &task_visits, &open_task_visits))
+        .collect();
 
     for iter in 1..=opts.max_iterations {
         iterations = iter;
@@ -441,363 +948,22 @@ pub fn solve_with_pool(
             converged_streak = 0;
         }
 
-        // (3) Level submodels (Method of Layers).
-        //
-        // Level 0: the client chains (full populations, think time Z_k)
-        // queue for the thread pools of the tasks they call.
-        //
-        // Level ℓ ≥ 1: the *threads* of level-ℓ tasks are the customers —
-        // per-(chain, task) populations follow from Little's law
-        // (X·V·holding-time, capped by N_k and the pool size) — and the
-        // stations are the tasks' host processors plus the thread pools of
-        // the tasks they call. A thread is always either executing on its
-        // processor or blocked in a callee, so the submodel think time is
-        // zero.
-        for level in 0..=max_depth {
-            // Customer tasks at this level (reference chains at level 0).
-            // The deepest level has no callee pools, but its submodel still
-            // corrects the host processors' waits (the flat initialisation
-            // deliberately overestimates them).
-            let customer_tasks: Vec<usize> = (0..tn)
-                .filter(|&t| {
-                    prep.depths[t] == level
-                        && if level == 0 {
-                            model.tasks()[t].is_reference()
-                        } else {
-                            !model.tasks()[t].is_source()
-                                && ((0..kn).any(|k| task_visits[k][t] > 0.0)
-                                    || (0..on).any(|o| open_task_visits[o][t] > 0.0))
-                        }
-                })
-                .collect();
-            if customer_tasks.is_empty() {
-                continue;
-            }
-
-            // Sub-chains: one per (chain, customer task) pair with traffic.
-            struct SubChain {
-                k: usize,
-                t: usize,
-                population: f64,
-                think: f64,
-            }
-            let mut subchains: Vec<SubChain> = Vec::new();
-            for &t in &customer_tasks {
-                for k in 0..kn {
-                    if level == 0 {
-                        if prep.chains[k] != t {
-                            continue;
-                        }
-                        let own = model.entries()[prep.ref_entry[k]].demand_ms;
-                        subchains.push(SubChain {
-                            k,
-                            t,
-                            population: prep.populations[k],
-                            think: prep.think_ms[k] + own,
-                        });
-                    } else {
-                        let v = task_visits[k][t];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let holding_total: f64 = model.tasks()[t]
-                            .entries
-                            .iter()
-                            .map(|e| prep.visits[k][e.0] * holding[k][e.0])
-                            .sum();
-                        // Concurrently active chain-k threads of t
-                        // (Little's law: X × thread-holding time per cycle).
-                        let p = (throughput_per_ms[k] * holding_total).min(prep.populations[k]);
-                        subchains.push(SubChain {
-                            k,
-                            t,
-                            population: p,
-                            think: 0.0,
-                        });
-                    }
-                }
-            }
-            // Cap total thread-customers of a finite pool at its size.
-            if level > 0 {
-                for &t in &customer_tasks {
-                    if let Multiplicity::Finite(m) = model.tasks()[t].multiplicity {
-                        let total: f64 = subchains
-                            .iter()
-                            .filter(|c| c.t == t)
-                            .map(|c| c.population)
-                            .sum();
-                        if total > f64::from(m) {
-                            let scale = f64::from(m) / total;
-                            for c in subchains.iter_mut().filter(|c| c.t == t) {
-                                c.population *= scale;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Open sub-streams through this level: at level 0 an open
-            // source injects its arrival stream; at deeper levels a stream
-            // follows the flow's visit counts through the level's tasks.
-            struct SubStream {
-                o: usize,
-                t: usize,
-                rate: f64,
-            }
-            let mut substreams: Vec<SubStream> = Vec::new();
-            for (o, (&src, &rate)) in prep.open_tasks.iter().zip(&prep.open_rates).enumerate() {
-                if level == 0 {
-                    substreams.push(SubStream { o, t: src, rate });
-                } else {
-                    for &t in &customer_tasks {
-                        let v = open_task_visits[o][t];
-                        if v > 0.0 {
-                            substreams.push(SubStream {
-                                o,
-                                t,
-                                rate: rate * v,
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Stations: callee thread pools (finite multiplicity, any
-            // deeper level) and — for level ≥ 1 — the finite processors
-            // hosting the customer tasks (and open-stream source/carrier
-            // tasks).
-            let mut callee_tasks: Vec<usize> = Vec::new();
-            let mut host_procs: Vec<usize> = Vec::new();
-            for &t in customer_tasks
-                .iter()
-                .chain(substreams.iter().map(|ss| &ss.t))
-            {
-                for e in &model.tasks()[t].entries {
-                    for call in &model.entries()[e.0].calls {
-                        let t2 = model.entries()[call.target.0].task.0;
-                        if !model.tasks()[t2].multiplicity.is_infinite()
-                            && !callee_tasks.contains(&t2)
-                        {
-                            callee_tasks.push(t2);
-                        }
-                    }
-                }
-                if level > 0 {
-                    let p = model.tasks()[t].processor.0;
-                    if !model.processors()[p].multiplicity.is_infinite() && !host_procs.contains(&p)
-                    {
-                        host_procs.push(p);
-                    }
-                }
-            }
-            if callee_tasks.is_empty() && host_procs.is_empty() {
-                continue;
-            }
-
-            // Per-subchain demands at each station, per customer-task visit.
-            let cn = subchains.len();
-            let sn_tasks = callee_tasks.len();
-            let sn_procs = host_procs.len();
-            let mut demands = vec![vec![0.0f64; sn_tasks + sn_procs]; cn];
-            // Calls per cycle to each callee pool (for residence → per-call
-            // wait conversion).
-            let mut calls_per_cycle = vec![vec![0.0f64; sn_tasks]; cn];
-            // Processor visits per cycle (entries with demand, v-weighted).
-            let mut proc_visits_cycle = vec![vec![0.0f64; sn_procs]; cn];
-            for (ci, c) in subchains.iter().enumerate() {
-                let v_t = if level == 0 {
-                    1.0
-                } else {
-                    task_visits[c.k][c.t]
-                };
-                for e in &model.tasks()[c.t].entries {
-                    let entry = &model.entries()[e.0];
-                    let share = prep.visits[c.k][e.0] / v_t;
-                    if share == 0.0 {
-                        continue;
-                    }
-                    for call in &entry.calls {
-                        let t2 = model.entries()[call.target.0].task.0;
-                        if let Some(si) = callee_tasks.iter().position(|&x| x == t2) {
-                            demands[ci][si] +=
-                                share * call.mean_calls * holding[c.k][call.target.0];
-                            calls_per_cycle[ci][si] += share * call.mean_calls;
-                        }
-                    }
-                    let total_demand = entry.demand_ms + entry.phase2_demand_ms;
-                    if level > 0 && total_demand > 0.0 {
-                        let p = model.tasks()[c.t].processor.0;
-                        if let Some(pi) = host_procs.iter().position(|&x| x == p) {
-                            demands[ci][sn_tasks + pi] += share * total_demand;
-                            proc_visits_cycle[ci][pi] += share;
-                        }
-                    }
-                }
-            }
-            let on_sub = substreams.len();
-            let mut open_demands = vec![vec![0.0f64; sn_tasks + sn_procs]; on_sub];
-            let mut open_calls_cycle = vec![vec![0.0f64; sn_tasks]; on_sub];
-            let mut open_pvisits_cycle = vec![vec![0.0f64; sn_procs]; on_sub];
-            for (oi, ss) in substreams.iter().enumerate() {
-                let v_t = if level == 0 {
-                    1.0
-                } else {
-                    open_task_visits[ss.o][ss.t]
-                };
-                for e in &model.tasks()[ss.t].entries {
-                    let entry = &model.entries()[e.0];
-                    let share = prep.open_visits[ss.o][e.0] / v_t;
-                    if share == 0.0 {
-                        continue;
-                    }
-                    for call in &entry.calls {
-                        let t2 = model.entries()[call.target.0].task.0;
-                        if let Some(si) = callee_tasks.iter().position(|&x| x == t2) {
-                            open_demands[oi][si] +=
-                                share * call.mean_calls * open_holding[ss.o][call.target.0];
-                            open_calls_cycle[oi][si] += share * call.mean_calls;
-                        }
-                    }
-                    let total_demand = entry.demand_ms + entry.phase2_demand_ms;
-                    if level > 0 && total_demand > 0.0 {
-                        let p = model.tasks()[ss.t].processor.0;
-                        if let Some(pi) = host_procs.iter().position(|&x| x == p) {
-                            open_demands[oi][sn_tasks + pi] += share * total_demand;
-                            open_pvisits_cycle[oi][pi] += share;
-                        }
-                    }
-                }
-            }
-
-            let net = MixedNetwork {
-                closed: ClosedNetwork {
-                    populations: subchains.iter().map(|c| c.population).collect(),
-                    think_ms: subchains.iter().map(|c| c.think).collect(),
-                    stations: callee_tasks
-                        .iter()
-                        .map(|&t| StationKind::Queueing {
-                            servers: match model.tasks()[t].multiplicity {
-                                Multiplicity::Finite(m) => m,
-                                Multiplicity::Infinite => unreachable!(),
-                            },
-                        })
-                        .chain(host_procs.iter().map(|&p| StationKind::Queueing {
-                            servers: match model.processors()[p].multiplicity {
-                                Multiplicity::Finite(m) => m,
-                                Multiplicity::Infinite => unreachable!(),
-                            },
-                        }))
-                        .enumerate()
-                        .map(|(si, kind)| Station {
-                            kind,
-                            demands: (0..cn).map(|ci| demands[ci][si]).collect(),
-                        })
-                        .collect(),
-                },
-                open: substreams
-                    .iter()
-                    .enumerate()
-                    .map(|(oi, ss)| OpenClass {
-                        rate_per_ms: ss.rate,
-                        demands: open_demands[oi].clone(),
-                    })
-                    .collect(),
-            };
+        // (3) Level submodels (Method of Layers), see [`LevelPlan`]:
+        // refresh each level's populations and callee demands from the
+        // current holding times, solve it in place, and fold its
+        // residences back into the waits.
+        for plan in &mut plans {
+            plan.update(model, &prep, &holding, &open_holding, &throughput_per_ms);
             mva_solves += 1;
-            let mixed_sol = solve_mixed_with(&net, &opts.amva, &mut ws_pool[1 + level])?;
-            amva_iterations += mixed_sol.closed.iterations as u64;
-            let sol = &mixed_sol.closed;
-
-            // Fold residences back into per-call / per-visit waits,
-            // accumulating call-weighted means per original chain.
-            let mut tw_acc = vec![vec![(0.0f64, 0.0f64); sn_tasks]; kn]; // (wait·weight, weight)
-            let mut pw_acc = vec![vec![(0.0f64, 0.0f64); sn_procs]; kn];
-            for (ci, c) in subchains.iter().enumerate() {
-                for si in 0..sn_tasks {
-                    let calls = calls_per_cycle[ci][si];
-                    if calls > 0.0 {
-                        let wait = ((sol.residence_ms[ci][si] - demands[ci][si]) / calls).max(0.0);
-                        let weight = c.population.max(1e-12) * calls;
-                        tw_acc[c.k][si].0 += wait * weight;
-                        tw_acc[c.k][si].1 += weight;
-                    }
-                }
-                for pi in 0..sn_procs {
-                    let visits = proc_visits_cycle[ci][pi];
-                    if visits > 0.0 {
-                        let wait = ((sol.residence_ms[ci][sn_tasks + pi]
-                            - demands[ci][sn_tasks + pi])
-                            / visits)
-                            .max(0.0);
-                        let weight = c.population.max(1e-12) * visits;
-                        pw_acc[c.k][pi].0 += wait * weight;
-                        pw_acc[c.k][pi].1 += weight;
-                    }
-                }
-            }
-            for k in 0..kn {
-                for (si, &t2) in callee_tasks.iter().enumerate() {
-                    let (sum, w) = tw_acc[k][si];
-                    if w > 0.0 {
-                        let new_wait = sum / w;
-                        task_wait[k][t2] += opts.under_relax * (new_wait - task_wait[k][t2]);
-                    }
-                }
-                for (pi, &p) in host_procs.iter().enumerate() {
-                    let (sum, w) = pw_acc[k][pi];
-                    if w > 0.0 {
-                        let new_wait = sum / w;
-                        proc_wait[k][p] += opts.under_relax * (new_wait - proc_wait[k][p]);
-                    }
-                }
-            }
-
-            // Open-stream waits from the open residences.
-            let mut otw_acc = vec![vec![(0.0f64, 0.0f64); sn_tasks]; on];
-            let mut opw_acc = vec![vec![(0.0f64, 0.0f64); sn_procs]; on];
-            for (oi, ss) in substreams.iter().enumerate() {
-                for si in 0..sn_tasks {
-                    let calls = open_calls_cycle[oi][si];
-                    if calls > 0.0 {
-                        let wait = ((mixed_sol.open_residence_ms[oi][si] - open_demands[oi][si])
-                            / calls)
-                            .max(0.0);
-                        let weight = ss.rate.max(1e-12) * calls;
-                        otw_acc[ss.o][si].0 += wait * weight;
-                        otw_acc[ss.o][si].1 += weight;
-                    }
-                }
-                for pi in 0..sn_procs {
-                    let visits = open_pvisits_cycle[oi][pi];
-                    if visits > 0.0 {
-                        let wait = ((mixed_sol.open_residence_ms[oi][sn_tasks + pi]
-                            - open_demands[oi][sn_tasks + pi])
-                            / visits)
-                            .max(0.0);
-                        let weight = ss.rate.max(1e-12) * visits;
-                        opw_acc[ss.o][pi].0 += wait * weight;
-                        opw_acc[ss.o][pi].1 += weight;
-                    }
-                }
-            }
-            for o in 0..on {
-                for (si, &t2) in callee_tasks.iter().enumerate() {
-                    let (sum, w) = otw_acc[o][si];
-                    if w > 0.0 {
-                        let new_wait = sum / w;
-                        open_task_wait[o][t2] +=
-                            opts.under_relax * (new_wait - open_task_wait[o][t2]);
-                    }
-                }
-                for (pi, &p) in host_procs.iter().enumerate() {
-                    let (sum, w) = opw_acc[o][pi];
-                    if w > 0.0 {
-                        let new_wait = sum / w;
-                        open_proc_wait[o][p] +=
-                            opts.under_relax * (new_wait - open_proc_wait[o][p]);
-                    }
-                }
-            }
+            let ws = &mut ws_pool[plan.slot];
+            solve_mixed_into(&plan.net, &opts.amva, ws, &mut plan.open_residence)?;
+            amva_iterations += ws.iterations() as u64;
+            plan.fold(
+                ws,
+                opts.under_relax,
+                (&mut task_wait, &mut proc_wait),
+                (&mut open_task_wait, &mut open_proc_wait),
+            );
         }
     }
 

@@ -28,7 +28,8 @@ use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -36,6 +37,10 @@ use std::time::{Duration, Instant};
 const FAULT_SPEC: &str = "repl_conn_drop:p0.1,repl_partial_frame:p0.1";
 const FAULT_SEED: u64 = 0x3C1D;
 const CLIENTS: usize = 4;
+/// Predictions answered in each load phase (before the kill, after the
+/// failover) before the test moves on, so the ≥ 99% availability check
+/// has a denominator the failover window cannot dominate.
+const PHASE_PREDICTS: u64 = 1_000;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -160,15 +165,36 @@ fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(
     Some((status, body))
 }
 
-/// Like [`roundtrip`] but retries transport failures a few times.
-fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
-    for _ in 0..5 {
-        if let Some(found) = roundtrip(addr, method, path, body) {
+/// Calls `attempt` every `interval` until it yields a value or `timeout`
+/// has passed. The only paced wait in this file: every other wait polls
+/// the condition it stands for through here.
+fn poll<T>(
+    timeout: Duration,
+    interval: Duration,
+    mut attempt: impl FnMut() -> Option<T>,
+) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        if let Some(found) = attempt() {
             return Some(found);
         }
-        thread::sleep(Duration::from_millis(5));
+        if start.elapsed() >= timeout {
+            return None;
+        }
+        thread::sleep(interval);
     }
-    None
+}
+
+fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
+    let met = poll(timeout, Duration::from_millis(20), || cond().then_some(()));
+    assert!(met.is_some(), "timed out waiting for {what}");
+}
+
+/// Like [`roundtrip`] but retries transport failures for a short while.
+fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
+    poll(Duration::from_millis(25), Duration::from_millis(5), || {
+        roundtrip(addr, method, path, body)
+    })
 }
 
 /// A synthetic AppServF measurement shaped like the paper's curves,
@@ -185,20 +211,33 @@ fn observation_point(k: usize) -> (u32, f64) {
     (n as u32, mrt)
 }
 
+/// What the client threads got answered, shared so the test can wait on
+/// it while the load runs.
 #[derive(Default)]
 struct Tally {
-    predicts: u64,
-    predict_ok: u64,
-    observes_ok_before: u64,
-    observes_ok_after: u64,
+    predicts: AtomicU64,
+    predict_ok: AtomicU64,
+    observes_ok_before: AtomicU64,
+    observes_ok_after: AtomicU64,
+}
+
+impl Tally {
+    fn get(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
 }
 
 /// One client thread hammering the router until `stop` rises. `phase`
 /// is 0 before the primary kill and 1 once the router has rediscovered a
 /// writable node — observe successes are credited per phase so the test
 /// can prove writes flowed both before and after failover.
-fn client_loop(router: SocketAddr, t: usize, stop: &AtomicBool, phase: &AtomicUsize) -> Tally {
-    let mut tally = Tally::default();
+fn client_loop(
+    router: SocketAddr,
+    t: usize,
+    stop: &AtomicBool,
+    phase: &AtomicUsize,
+    tally: &Tally,
+) {
     let mut i = 0usize;
     while !stop.load(Ordering::Relaxed) {
         i += 1;
@@ -211,39 +250,33 @@ fn client_loop(router: SocketAddr, t: usize, stop: &AtomicBool, phase: &AtomicUs
             );
             let before = phase.load(Ordering::Relaxed) == 0;
             if let Some((200, _)) = call(router, "POST", "/observe", &body) {
-                if before {
-                    tally.observes_ok_before += 1;
+                let credited = if before {
+                    &tally.observes_ok_before
                 } else {
-                    tally.observes_ok_after += 1;
-                }
+                    &tally.observes_ok_after
+                };
+                credited.fetch_add(1, Ordering::Relaxed);
             }
         } else {
             let clients = 50 + ((t * 31 + i * 7) % 200);
             let body =
                 format!(r#"{{"method": "lqns", "server": "AppServF", "clients": {clients}}}"#);
-            tally.predicts += 1;
+            let failed = Tally::get(&tally.predicts) - Tally::get(&tally.predict_ok);
+            tally.predicts.fetch_add(1, Ordering::Relaxed);
             match call(router, "POST", "/predict", &body) {
-                Some((200, _)) => tally.predict_ok += 1,
-                Some((status, text)) if tally.predicts - tally.predict_ok < 4 => {
+                Some((200, _)) => {
+                    tally.predict_ok.fetch_add(1, Ordering::Relaxed);
+                }
+                Some((status, text)) if failed < 4 => {
                     eprintln!("predict failed: {status} {}", &text[..text.len().min(160)]);
                 }
                 other => {
-                    if tally.predicts - tally.predict_ok < 4 {
+                    if failed < 4 {
                         eprintln!("predict failed: {other:?}");
                     }
                 }
             }
         }
-        thread::sleep(Duration::from_millis(1));
-    }
-    tally
-}
-
-fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(start.elapsed() < timeout, "timed out waiting for {what}");
-        thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -253,22 +286,15 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
         FaultPlan::parse(FAULT_SPEC, FAULT_SEED).unwrap(),
     )));
 
-    // Deadlock watchdog: abort loudly rather than hang the harness.
-    let done = Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(300);
-            while Instant::now() < deadline {
-                if done.load(Ordering::Relaxed) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(100));
-            }
+    // Deadlock watchdog: abort loudly rather than hang the harness. It
+    // wakes when the test finishes (or unwinds, dropping `done`).
+    let (done, finished) = mpsc::channel::<()>();
+    let watchdog = thread::spawn(move || {
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(300)) {
             eprintln!("cluster test deadlocked: 300s elapsed without completing");
             std::process::abort();
-        })
-    };
+        }
+    });
 
     let dir_a = scratch("a");
     let dir_b = scratch("b");
@@ -321,18 +347,30 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let phase = Arc::new(AtomicUsize::new(0));
+    let tally = Arc::new(Tally::default());
     let handles: Vec<_> = (0..CLIENTS)
         .map(|t| {
             let stop = Arc::clone(&stop);
             let phase = Arc::clone(&phase);
-            thread::spawn(move || client_loop(router_addr, t, &stop, &phase))
+            let tally = Arc::clone(&tally);
+            thread::spawn(move || client_loop(router_addr, t, &stop, &phase, &tally))
         })
         .collect();
 
-    // Let replicated load flow, then kill the primary mid-run: fence its
-    // state (its hub stops streaming, like a dead process) and stop its
-    // HTTP listener (router probes start failing).
-    thread::sleep(Duration::from_secs(1));
+    // Let replicated load flow — predictions answered, writes accepted
+    // and a refit replicated to both followers — then kill the primary
+    // mid-run: fence its state (its hub stops streaming, like a dead
+    // process) and stop its HTTP listener (router probes start failing).
+    wait_until(
+        "replicated load before the kill",
+        Duration::from_secs(60),
+        || {
+            Tally::get(&tally.predict_ok) >= PHASE_PREDICTS
+                && Tally::get(&tally.observes_ok_before) > 0
+                && node_b.store.registry().version() >= 1
+                && node_c.store.registry().version() >= 1
+        },
+    );
     node_a.state.fence();
     node_a.stop_http();
 
@@ -362,30 +400,42 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
     );
     phase.store(1, Ordering::Relaxed);
 
-    thread::sleep(Duration::from_millis(1500));
+    // Keep the load on until writes flow through the new primary and as
+    // many predictions again have been answered.
+    let answered_at_failover = Tally::get(&tally.predict_ok);
+    wait_until(
+        "load through the new primary",
+        Duration::from_secs(60),
+        || {
+            Tally::get(&tally.observes_ok_after) >= CLIENTS as u64
+                && Tally::get(&tally.predict_ok) >= answered_at_failover + PHASE_PREDICTS
+        },
+    );
     stop.store(true, Ordering::Relaxed);
-    let mut total = Tally::default();
     for h in handles {
-        let t = h.join().unwrap();
-        total.predicts += t.predicts;
-        total.predict_ok += t.predict_ok;
-        total.observes_ok_before += t.observes_ok_before;
-        total.observes_ok_after += t.observes_ok_after;
+        h.join().unwrap();
     }
+    let (predicts, predict_ok) = (Tally::get(&tally.predicts), Tally::get(&tally.predict_ok));
 
     // 1. Availability through the router: ≥ 99% of predictions answered
     //    200 across the whole run, primary kill included.
-    let availability = total.predict_ok as f64 / total.predicts as f64;
+    let availability = predict_ok as f64 / predicts as f64;
     assert!(
         availability >= 0.99,
         "availability {availability:.4} ({} of {})",
-        total.predict_ok,
-        total.predicts
+        predict_ok,
+        predicts
     );
 
     // 2. Writes flowed in both regimes.
-    assert!(total.observes_ok_before > 0, "no observes before the kill");
-    assert!(total.observes_ok_after > 0, "no observes after failover");
+    assert!(
+        Tally::get(&tally.observes_ok_before) > 0,
+        "no observes before the kill"
+    );
+    assert!(
+        Tally::get(&tally.observes_ok_after) > 0,
+        "no observes after failover"
+    );
 
     // 3. The armed replication faults actually bit, and replication still
     //    converged: C follows the new primary B to identical state.
@@ -435,7 +485,7 @@ fn three_node_failover_under_faulted_replication_keeps_serving() {
     );
     assert!(!restarted.is_writable());
 
-    done.store(true, Ordering::Relaxed);
+    done.send(()).unwrap();
     watchdog.join().unwrap();
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();

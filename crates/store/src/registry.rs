@@ -12,18 +12,29 @@
 //! with `Arc::increment_strong_count`. Old versions are retained on
 //! purpose — they back `GET /models` and let cached predictions keyed by
 //! an older version stay attributable.
+//!
+//! Two numbers identify a version. `version` is its position in the
+//! current history (1, 2, …), which a rollback rebuilds from 1 so that a
+//! follower's `/models` matches the primary's. `generation` counts every
+//! publish over the registry's lifetime and never repeats, so it is what
+//! prediction caches key on: a version rebuilt under an old number after
+//! a rollback cannot answer from entries cached for the discarded one.
 
 use crate::refit::RefitTrigger;
 use perfpred_core::{PerformanceModel, PredictError, Prediction, ServerArch, Workload};
 use perfpred_hydra::HistoricalModel;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One published model generation.
 #[derive(Debug)]
 pub struct ModelVersion {
-    /// Monotonic version number, starting at 1.
+    /// Position in the current history, starting at 1; a
+    /// [`rewind`](ModelRegistry::rewind) restarts it.
     pub version: u64,
+    /// Publish count over the registry's lifetime, starting at 1; unique
+    /// across rewinds.
+    pub generation: u64,
     /// The fitted model.
     pub model: HistoricalModel,
     /// Observations folded into the refitter when this fit was produced.
@@ -42,6 +53,8 @@ pub struct ModelRegistry {
     /// [`current`](Self::current) holds across a rewind: a reader that
     /// loaded the pointer just before the rewind can still revive it.
     retired: Mutex<Vec<Arc<ModelVersion>>>,
+    /// Publishes so far, rewinds included: the last generation assigned.
+    generations: AtomicU64,
 }
 
 impl Default for ModelRegistry {
@@ -57,6 +70,7 @@ impl ModelRegistry {
             current: AtomicPtr::new(std::ptr::null_mut()),
             versions: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
+            generations: AtomicU64::new(0),
         }
     }
 
@@ -64,7 +78,8 @@ impl ModelRegistry {
     /// scratch — the follower rollback path, where a divergent log tail is
     /// discarded and the surviving prefix replayed. Version numbering
     /// restarts at 1, which is exactly what makes the rebuilt registry
-    /// byte-identical to one that never saw the dropped tail. `current`
+    /// byte-identical to one that never saw the dropped tail; generations
+    /// keep counting, so cache identity does not repeat. `current`
     /// keeps serving the last retired version until the rebuild's first
     /// publish, so reads never hit an empty registry mid-rollback; retired
     /// entries stay alive for the registry's lifetime (see the safety
@@ -79,8 +94,11 @@ impl ModelRegistry {
     pub fn publish(&self, model: HistoricalModel, observations: u64, trigger: RefitTrigger) -> u64 {
         let mut versions = self.versions.lock().unwrap();
         let version = versions.len() as u64 + 1;
+        // Under the versions lock, so generations follow publish order.
+        let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(ModelVersion {
             version,
+            generation,
             model,
             observations,
             trigger,
@@ -120,6 +138,13 @@ impl ModelRegistry {
         // SAFETY: as in `current`, `versions` or `retired` keeps the entry
         // behind a non-null pointer alive for the registry's lifetime.
         unsafe { self.current.load(Ordering::Acquire).as_ref() }.map_or(0, |v| v.version)
+    }
+
+    /// The current version's generation; 0 while the registry is empty.
+    /// Lock-free, like [`version`](Self::version).
+    pub fn generation(&self) -> u64 {
+        // SAFETY: as in `version`.
+        unsafe { self.current.load(Ordering::Acquire).as_ref() }.map_or(0, |v| v.generation)
     }
 
     /// Snapshot of every published version, oldest first.
@@ -182,10 +207,11 @@ impl PerformanceModel for RegistryModel {
             .max_clients(server, template, rt_goal_ms)
     }
 
-    /// The registry's current version, so a cache over this view re-keys
-    /// on every publish, local or replicated alike.
+    /// The current version's generation, so a cache over this view
+    /// re-keys on every publish, local or replicated alike, and never
+    /// reuses a key after a rollback.
     fn model_version(&self) -> u64 {
-        self.registry.version()
+        self.registry.generation()
     }
 }
 
@@ -287,6 +313,31 @@ mod tests {
         assert_eq!(reg.publish(fitted(20.0), 10, RefitTrigger::Window), 1);
         assert_eq!(reg.version(), 1);
         assert_eq!(reg.versions().len(), 1);
+        // Generations keep counting through the rewind.
+        assert_eq!(reg.generation(), 3);
+        assert_eq!(reg.versions()[0].generation, 3);
+    }
+
+    #[test]
+    fn cache_misses_after_a_rollback_republishes_the_same_number() {
+        let reg = Arc::new(ModelRegistry::new());
+        let cache = perfpred_core::PredictionCache::new(RegistryModel::new(Arc::clone(&reg)));
+        let server = ServerArch::app_serv_f();
+        let wl = Workload::typical(200);
+
+        assert_eq!(reg.publish(fitted(20.0), 10, RefitTrigger::Window), 1);
+        let divergent = cache.predict(&server, &wl).unwrap();
+
+        // Roll back and rebuild a different fit under the same number.
+        reg.rewind();
+        assert_eq!(reg.publish(fitted(32.0), 10, RefitTrigger::Window), 1);
+        let expect = fitted(32.0).predict(&server, &wl).unwrap();
+        let served = cache.predict(&server, &wl).unwrap();
+        assert_ne!(divergent.mrt_ms, expect.mrt_ms);
+        assert_eq!(
+            served, expect,
+            "the cache answered from the discarded history's version 1"
+        );
     }
 
     #[test]
