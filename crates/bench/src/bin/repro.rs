@@ -61,6 +61,11 @@ fn main() {
     } else {
         ids.iter().map(String::as_str).collect()
     };
+    // Refuse unknown ids before anything runs or is written.
+    if let Some(bad) = ids.iter().find(|id| !experiments::ALL.contains(id)) {
+        eprintln!("unknown experiment id: {bad} (try --list)");
+        std::process::exit(2);
+    }
 
     let seed = std::env::var("PERFPRED_SEED")
         .ok()
@@ -89,22 +94,16 @@ fn main() {
     // Per-experiment metrics come from each experiment's own scope (see
     // runner); the shared context's calibrations are lazy, so whichever
     // experiment first needs one includes that campaign's activity.
-    let mut failed = false;
-    let summary = runner::run_experiments(&ctx, &ids, jobs, |outcome| match &outcome.report {
-        Some(report) => {
-            println!("================ {} ================", outcome.id);
-            println!("{report}");
-            if !outcome.metrics.is_empty() {
-                println!("---- metrics ----");
-                print!("{}", outcome.metrics.render());
-            }
-            println!("[{} completed in {:.1?}]\n", outcome.id, outcome.duration);
-            save(&outcome.id, report);
+    let summary = runner::run_experiments(&ctx, &ids, jobs, |outcome| {
+        let report = outcome.report.as_ref().expect("ids are checked above");
+        println!("================ {} ================", outcome.id);
+        println!("{report}");
+        if !outcome.metrics.is_empty() {
+            println!("---- metrics ----");
+            print!("{}", outcome.metrics.render());
         }
-        None => {
-            eprintln!("unknown experiment id: {} (try --list)", outcome.id);
-            failed = true;
-        }
+        println!("[{} completed in {:.1?}]\n", outcome.id, outcome.duration);
+        save(&outcome.id, report);
     });
     println!(
         "[{} experiments in {:.1?} on {} worker(s)]",
@@ -114,9 +113,6 @@ fn main() {
     );
 
     write_trajectory(&summary, all, quick);
-    if failed {
-        std::process::exit(2);
-    }
 }
 
 /// Records the run into `section.repro` of BENCH.json: per-experiment
@@ -136,9 +132,6 @@ fn write_trajectory(summary: &runner::RunSummary, full_suite: bool, quick: bool)
     let mut amva_iterations = 0u64;
     let (mut hits, mut misses) = (0u64, 0u64);
     for o in &summary.outcomes {
-        if o.report.is_none() {
-            continue;
-        }
         let m = &o.metrics;
         let mut row = Json::obj();
         row.set("id", o.id.as_str());

@@ -1,7 +1,10 @@
 //! The `perfpred-router` binary: a consistent-hash front tier over a
-//! fleet of `perfpred-serve` nodes.
+//! fleet of `perfpred-serve` nodes. Linux only: it serves on the epoll
+//! event loop. SIGTERM or SIGINT drains it.
 
-use perfpred_cluster::{RouterConfig, RouterServer};
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
+use perfpred_cluster::RouterConfig;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -84,6 +87,13 @@ fn parse_args(
     Ok((cfg, port_file))
 }
 
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("perfpred-router requires Linux (epoll)");
+    std::process::exit(1);
+}
+
+#[cfg(target_os = "linux")]
 fn main() {
     let (cfg, port_file) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
@@ -95,7 +105,8 @@ fn main() {
         }
     };
     let upstreams = cfg.upstreams.join(", ");
-    let server = match RouterServer::bind(cfg) {
+    perfpred_core::shutdown::install_signal_handlers();
+    let server = match perfpred_cluster::RouterServer::bind(cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind router: {e}");
@@ -110,8 +121,11 @@ fn main() {
         }
     }
     println!("perfpred-router listening on http://{addr} -> [{upstreams}]");
-    if let Err(e) = server.run() {
-        eprintln!("perfpred-router: serve loop failed: {e}");
-        std::process::exit(1);
+    match server.run() {
+        Ok(()) => eprintln!("perfpred-router: drained, bye"),
+        Err(e) => {
+            eprintln!("perfpred-router: serve loop failed: {e}");
+            std::process::exit(1);
+        }
     }
 }

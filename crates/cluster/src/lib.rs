@@ -19,9 +19,9 @@
 //! * [`repl`] — the primary-side hub, follower-side replicator,
 //!   failover and the rejoin/fencing rules.
 //! * [`ring`] — consistent hashing with bounded-load spill.
-//! * [`proxy`] — the `perfpred-router` front tier: health-probed
-//!   upstream pools, eject/readmit with jittered backoff, writes pinned
-//!   to the primary.
+//! * [`proxy`] — the `perfpred-router` front tier on the shared event
+//!   loop: health-probed upstream pools, eject/readmit with jittered
+//!   backoff, writes pinned to the primary.
 
 pub mod lease;
 pub mod proxy;
@@ -31,7 +31,9 @@ pub mod state;
 pub mod wire;
 
 pub use lease::Lease;
-pub use proxy::{RouterConfig, RouterServer};
+pub use proxy::RouterConfig;
+#[cfg(target_os = "linux")]
+pub use proxy::RouterServer;
 pub use repl::{
     rejoin_check, spawn_replicator, HubConfig, RejoinOutcome, ReplicationHub, ReplicatorConfig,
 };

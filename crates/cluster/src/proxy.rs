@@ -18,17 +18,22 @@
 //! more than `max_version_lag` is treated as unhealthy — it would serve
 //! predictions from a stale model.
 //!
-//! Connections are pooled keep-alive on both sides: the client loop
-//! serves many requests per accepted connection, and each upstream keeps
-//! a small stack of idle connections that forwarding checks out and
-//! returns.
+//! Client connections run on the workspace's one event loop
+//! ([`perfpred_core::reactor`]), like serve's: a fixed set of shard and
+//! dispatcher threads whatever the number of clients. The router's own
+//! endpoints (`/router/status`, `/metrics`) answer on the shards;
+//! forwards and `/admin/upstreams` run on the dispatchers, each forward
+//! over a keep-alive connection checked out of the upstream's pool.
+
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 use crate::ring::Ring;
-use perfpred_core::http::{self, HeadOutcome, Request, Response};
+use perfpred_core::http::{Request, Response};
+use perfpred_core::shutdown::Shutdown;
 use perfpred_core::{metrics, Json};
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -95,7 +100,14 @@ struct Upstream {
     pool: Mutex<VecDeque<TcpStream>>,
 }
 
-const POOL_IDLE_MAX: usize = 8;
+/// Dispatcher threads forwarding requests; each blocks on one upstream
+/// exchange at a time.
+const DISPATCHERS: usize = 32;
+/// Requests waiting for a dispatcher; overflow is answered 503.
+const DISPATCH_QUEUE: usize = 1024;
+/// Idle connections pooled per upstream: one per dispatcher, so steady
+/// load never reconnects.
+const POOL_IDLE_MAX: usize = DISPATCHERS;
 const BACKOFF_BASE: Duration = Duration::from_millis(500);
 const BACKOFF_CAP: Duration = Duration::from_secs(15);
 
@@ -330,14 +342,16 @@ impl RouterState {
     }
 }
 
-/// The bound router: accept loop plus prober thread.
-#[derive(Debug)]
+/// The bound router: the event loop plus a prober thread.
+#[cfg(target_os = "linux")]
 pub struct RouterServer {
-    listener: TcpListener,
-    addr: SocketAddr,
+    reactor: perfpred_core::reactor::Reactor,
     state: Arc<RouterState>,
+    shutdown: Arc<Shutdown>,
+    prober: std::thread::JoinHandle<()>,
 }
 
+#[cfg(target_os = "linux")]
 impl RouterServer {
     /// Binds the listen socket and starts the health prober.
     pub fn bind(cfg: RouterConfig) -> io::Result<RouterServer> {
@@ -347,40 +361,57 @@ impl RouterServer {
                 "router needs at least one --upstreams entry",
             ));
         }
-        let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
-        let addr = listener.local_addr()?;
+        let mut reactor = perfpred_core::reactor::Reactor::bind(&cfg.host, cfg.port, "router")?;
+        reactor.shards = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .clamp(1, 4);
+        reactor.dispatchers = DISPATCHERS;
+        reactor.queue_depth = DISPATCH_QUEUE;
+        // Registered up front so a scrape shows them at 0 before the
+        // first eject, readmit or retry.
+        for name in ["router.ejects", "router.readmits", "router.forward_retries"] {
+            metrics::counter(name);
+        }
         let state = RouterState::new(cfg);
-        let prober = Arc::clone(&state);
-        std::thread::Builder::new()
+        let shutdown = Shutdown::new();
+        let (probed, stop) = (Arc::clone(&state), Arc::clone(&shutdown));
+        let prober = std::thread::Builder::new()
             .name("router-probe".into())
-            .spawn(move || loop {
-                probe_all(&prober);
-                std::thread::sleep(prober.cfg.probe_interval);
+            .spawn(move || {
+                while !stop.requested() {
+                    probe_all(&probed);
+                    std::thread::sleep(probed.cfg.probe_interval);
+                }
             })?;
         Ok(RouterServer {
-            listener,
-            addr,
+            reactor,
             state,
+            shutdown,
+            prober,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.local_addr()
     }
 
-    /// Serves forever (thread per client connection, keep-alive).
-    pub fn run(&self) -> io::Result<()> {
-        for conn in self.listener.incoming() {
-            let Ok(stream) = conn else { continue };
-            let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("router-conn".into())
-                .spawn(move || {
-                    let _ = serve_client(stream, &state);
-                });
+    /// The token that stops this router (SIGTERM and SIGINT set it too,
+    /// once `install_signal_handlers` has run).
+    pub fn shutdown_handle(&self) -> Arc<Shutdown> {
+        Arc::clone(&self.shutdown)
+    }
+
+    /// Serves until shutdown is requested, then drains: no new
+    /// connections, in-flight forwards answered, idle connections closed,
+    /// and the prober stopped.
+    pub fn run(self) -> io::Result<()> {
+        let served = self.reactor.run(self.state, &self.shutdown);
+        self.shutdown.request(); // a failed start must stop the prober too
+        if self.prober.join().is_err() {
+            return Err(io::Error::other("the health prober panicked"));
         }
-        Ok(())
+        served
     }
 }
 
@@ -469,13 +500,6 @@ fn exchange(
     Ok(resp)
 }
 
-/// A 405 for the router's own endpoints.
-fn wrong_method(allow: &'static str) -> Response {
-    let mut resp = Response::error(405, "wrong method for this path");
-    resp.allow = Some(allow.into());
-    resp
-}
-
 /// Extracts the consistent-hash key: the `server` field of a JSON body,
 /// falling back to the path for body-less requests.
 fn hash_key(req: &Request) -> String {
@@ -489,59 +513,33 @@ fn hash_key(req: &Request) -> String {
     req.path.clone()
 }
 
-/// How long a client connection may sit idle between requests.
-const CLIENT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-/// How long a refused client may stay quiet before the post-reject drain
-/// gives up and closes.
-const REJECT_DRAIN_QUIET: Duration = Duration::from_millis(100);
-
-/// One client connection: route and forward until close. Requests frame
-/// through the shared codec, so a size limit answers 413/431, a malformed
-/// or chunked request answers 400 — each with `Connection: close` and a
-/// bounded drain — and nothing past a refused head is ever routed.
-fn serve_client(mut stream: TcpStream, state: &RouterState) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(CLIENT_IDLE_TIMEOUT))?;
-    let (mut buf, mut req, mut out) = (Vec::new(), Request::default(), Vec::new());
-    let refusal = loop {
-        let outcome = http::read_frame(&mut stream, &mut buf, |bytes| {
-            http::parse_head(bytes, &mut req)
-        });
-        match outcome {
-            Ok(HeadOutcome::Complete(info)) if req.path.starts_with('/') => {
-                info.take_body(&mut buf, &mut req.body);
-                state.requests.fetch_add(1, Ordering::Relaxed);
-                out.clear();
-                route(state, &req).write_into(&mut out, req.keep_alive);
-                stream.write_all(&out)?;
-                if !req.keep_alive {
-                    return Ok(());
-                }
+#[cfg(target_os = "linux")]
+impl perfpred_core::reactor::Handler for RouterState {
+    /// The router's own endpoints answer on the shard; forwards and
+    /// topology swaps decline to the dispatchers.
+    fn try_handle(&self, req: &Request, _arrival: Instant) -> Option<Response> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        match (req.path.as_str(), req.method.as_str()) {
+            (path, _) if !path.starts_with('/') => Some(Response::error(400, "malformed request")),
+            ("/router/status", "GET") => Some(Response::json(200, &self.status_json())),
+            ("/metrics", "GET") => {
+                Some(Response::text(200, metrics::snapshot().render_exposition()))
             }
-            Ok(HeadOutcome::Reject { status, message }) => break Response::error(status, message),
-            Ok(_) => break Response::error(400, "malformed request"),
-            // Clean close, truncated request, idle timeout or I/O error.
-            Err(_) => return Ok(()),
+            ("/router/status" | "/metrics", _) => Some(Response::method_not_allowed("GET")),
+            ("/admin/upstreams", "POST") => None,
+            ("/admin/upstreams", _) => Some(Response::method_not_allowed("POST")),
+            _ => None,
         }
-    };
-    out.clear();
-    refusal.write_into(&mut out, false);
-    stream.write_all(&out)?;
-    http::drain_then_close(stream, REJECT_DRAIN_QUIET);
-    Ok(())
-}
+    }
 
-/// Answers one framed request: the router's own endpoints, or a forward.
-fn route(state: &RouterState, req: &Request) -> Response {
-    match (req.path.as_str(), req.method.as_str()) {
-        ("/router/status", "GET") => Response::json(200, &state.status_json()),
-        ("/router/status", _) => wrong_method("GET"),
-        ("/admin/upstreams", "POST") => admin_upstreams(state, &req.body),
-        ("/admin/upstreams", _) => wrong_method("POST"),
-        _ => forward_with_retries(state, req).unwrap_or_else(|| {
-            state.forward_errors.fetch_add(1, Ordering::Relaxed);
+    fn handle_at(&self, req: &Request, _arrival: Instant) -> Response {
+        if req.path == "/admin/upstreams" {
+            return admin_upstreams(self, &req.body);
+        }
+        forward_with_retries(self, req).unwrap_or_else(|| {
+            self.forward_errors.fetch_add(1, Ordering::Relaxed);
             Response::error(503, "no healthy upstream")
-        }),
+        })
     }
 }
 
@@ -625,11 +623,12 @@ fn forward_with_retries(state: &RouterState, req: &Request) -> Option<Response> 
     None
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use perfpred_core::http::{MAX_HEADERS, MAX_HEAD_BYTES};
+    use perfpred_core::http::{self, HeadOutcome, MAX_HEADERS, MAX_HEAD_BYTES};
     use std::io::Read;
+    use std::net::TcpListener;
 
     /// Paths (as `"METHOD /path"`) a stub upstream answered, `/healthz`
     /// probes excluded.
@@ -797,6 +796,63 @@ mod tests {
         let raw = "POST /predict HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
                    GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n";
         refused_without_routing(raw.as_bytes(), 400);
+    }
+
+    #[test]
+    fn metrics_expose_the_event_loop_counters_after_a_forward() {
+        let (up, seen) = stub_upstream(1, "primary");
+        let addr = start_router(RouterConfig {
+            upstreams: vec![up],
+            ..RouterConfig::default()
+        });
+        wait_status(&addr, "roles", probed);
+        let (status, body) = get(&addr, "/models");
+        assert_eq!(status, 200, "{body}");
+
+        let (status, text) = get(&addr, "/metrics");
+        assert_eq!(status, 200, "{text}");
+        let value = |name: &str| {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+        };
+        // This test's own connections were accepted by the shared loop.
+        assert!(value("router_accepted") >= Some(3), "{text}");
+        for name in [
+            "router_stalled_conns",
+            "router_rejected_requests",
+            "router_dispatch_overflow",
+            "router_ejects",
+            "router_readmits",
+            "router_forward_retries",
+        ] {
+            assert!(value(name).is_some(), "{name} missing:\n{text}");
+        }
+        // `/metrics` is the router's own page, never forwarded.
+        assert_eq!(*seen.lock().unwrap(), ["GET /models"]);
+    }
+
+    #[test]
+    fn shutdown_drains_the_router_and_joins_its_threads() {
+        let (up, _) = stub_upstream(1, "primary");
+        let server = RouterServer::bind(RouterConfig {
+            upstreams: vec![up],
+            probe_interval: Duration::from_millis(50),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let stop = server.shutdown_handle();
+        let running = std::thread::spawn(move || server.run());
+        wait_status(&addr, "roles", probed);
+        // An idle keep-alive client must not hold the drain open.
+        let (status, _, _idle) = send(&addr, b"GET /router/status HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 200);
+        stop.request();
+        running.join().unwrap().unwrap();
+        assert!(
+            TcpStream::connect(&addr).is_err(),
+            "the listener must be closed"
+        );
     }
 
     #[test]

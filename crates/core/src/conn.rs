@@ -1,15 +1,13 @@
-//! Per-connection state machine shared by both serving cores.
+//! Per-connection state machine of the shared event loop
+//! ([`crate::reactor`]).
 //!
 //! Each connection moves through
 //! `ReadHead → ReadBody → Dispatch → Write → Drain`, parsing requests
 //! *incrementally* out of a pooled read buffer: the socket delivers bytes
 //! in arbitrary chunks, so [`parse_head`] (the shared codec in
-//! [`perfpred_core::http`]) is re-run over the accumulated buffer until a
-//! full head (then body) is present. Both serving cores drive this one
-//! state machine — the reactor over nonblocking sockets, the threaded
-//! core over blocking ones ([`Conn::blocking`]) — so parsing, body
-//! framing, pipelining and reject-then-drain are shared and the two
-//! cores answer byte-identically.
+//! [`crate::http`]) is re-run over the accumulated buffer until a full
+//! head (then body) is present. Parsing, body framing, pipelining and
+//! refuse-then-drain live here once, for every daemon the loop serves.
 //!
 //! Nothing here allocates on the steady-state path: requests parse into
 //! a reused [`Request`] scratch (strings cleared, capacity kept),
@@ -18,8 +16,8 @@
 //! [`BufPool`] while the connection idles between keep-alive requests —
 //! ten thousand parked connections hold sockets, not buffers.
 
+pub use crate::http::{parse_head, HeadInfo, HeadOutcome, DRAIN_BUDGET_BYTES};
 use crate::http::{Request, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES};
-pub use perfpred_core::http::{parse_head, HeadInfo, HeadOutcome, DRAIN_BUDGET_BYTES};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -36,19 +34,10 @@ const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 /// Initial capacity for pooled buffers (a typical head + JSON response).
 const INITIAL_CAPACITY: usize = 4 * 1024;
 /// How long a connection may sit mid-request, mid-response or mid-drain
-/// without a byte moving before either core gives up on it — the
+/// without a byte moving before the event loop gives up on it — the
 /// slow-loris defence, measured against [`Conn::last_progress`]. Idle
 /// keep-alive connections are never evicted.
 pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A nonblocking socket with nothing to move, or a blocking one whose
-/// timeout expired (`TimedOut` on some platforms).
-fn is_would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
 
 /// The buffers and scratch one active connection borrows from the pool.
 #[derive(Debug, Default)]
@@ -146,11 +135,15 @@ pub enum State {
     Drain,
 }
 
-/// What [`Conn::advance`] wants the reactor to do next.
+/// What [`Conn::advance`] wants the event loop to do next.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Step {
     /// A complete request sits in the scratch (`bufs.req`); dispatch it.
     Dispatch,
+    /// The request was refused (400 for malformed framing, 413/431 past a
+    /// limit): the error response is queued with `Connection: close` and
+    /// a bounded drain follows. The loop counts it, then flushes.
+    Refused,
     /// Waiting for more inbound bytes (epoll interest: readable).
     WantRead,
     /// Write buffer not yet flushed (epoll interest: writable).
@@ -159,8 +152,7 @@ pub enum Step {
     Close,
 }
 
-/// One connection: nonblocking and owned by a reactor shard, or blocking
-/// and driven by a threaded-core worker ([`Conn::blocking`]).
+/// One nonblocking connection owned by a reactor shard.
 #[derive(Debug)]
 pub struct Conn {
     /// The socket.
@@ -182,7 +174,6 @@ pub struct Conn {
     pub interest: u32,
     drained: usize,
     peer_eof: bool,
-    blocking: bool,
 }
 
 impl Conn {
@@ -200,26 +191,7 @@ impl Conn {
             interest: 0,
             drained: 0,
             peer_eof: false,
-            blocking: false,
         }
-    }
-
-    /// Wraps a blocking socket configured with read/write timeouts. A
-    /// timeout surfaces exactly as `WouldBlock` does on a nonblocking
-    /// socket (`WantRead`/`WantWrite`), and [`Conn::fill`] returns after
-    /// one successful read instead of reading until the socket would
-    /// block — which on a blocking socket means waiting out the timeout.
-    pub fn blocking(stream: TcpStream, now: Instant) -> Conn {
-        Conn {
-            blocking: true,
-            ..Conn::new(stream, now)
-        }
-    }
-
-    /// True while the connection holds no buffers and no partial state —
-    /// a parked keep-alive socket costing only its fd.
-    pub fn is_idle(&self) -> bool {
-        self.state == State::ReadHead && self.bufs.is_none()
     }
 
     /// Reads whatever the socket has (up to the per-connection cap),
@@ -246,11 +218,11 @@ impl Conn {
                     bufs.read.truncate(len + n);
                     self.last_progress = now;
                     got = true;
-                    if n < want || self.blocking {
+                    if n < want {
                         break; // short read: socket is drained
                     }
                 }
-                Err(e) if is_would_block(&e) => {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     bufs.read.truncate(len);
                     break;
                 }
@@ -268,8 +240,8 @@ impl Conn {
 
     /// Advances the read-side state machine over the buffered bytes:
     /// parses the head, then waits out the body, then yields `Dispatch`
-    /// with the request in the scratch. Reject outcomes queue their error
-    /// response themselves and come back as `WantWrite`.
+    /// with the request in the scratch. A refused head queues its error
+    /// response and comes back as `Refused`.
     pub fn advance(&mut self, now: Instant) -> Step {
         loop {
             match self.state {
@@ -285,9 +257,12 @@ impl Conn {
                         // EOF mid-head is a truncated request: close
                         // without answering.
                         HeadOutcome::Partial => return self.want_read(),
-                        HeadOutcome::Malformed => return Step::Close,
+                        // RFC 9112 §3 and §6.3: a malformed request or
+                        // unusable framing gets a 400 and a close — the
+                        // same path as a size limit.
+                        HeadOutcome::Malformed => return self.refuse(400, "malformed request"),
                         HeadOutcome::Reject { status, message } => {
-                            return self.queue_reject(status, message, now);
+                            return self.refuse(status, message);
                         }
                     }
                 }
@@ -324,7 +299,7 @@ impl Conn {
     }
 
     /// Serializes `response` into the write buffer and transitions to
-    /// `Write`. `keep` mirrors the blocking core's per-response choice
+    /// `Write`. `keep` is the loop's per-response choice
     /// (`req.keep_alive && !shutdown`).
     pub fn queue_response(&mut self, response: &Response, keep: bool, pool: &mut BufPool) {
         if self.bufs.is_none() {
@@ -341,12 +316,11 @@ impl Conn {
         self.drain_after_write = true;
     }
 
-    /// Queues a 413/431 reject the same way and flushes it.
-    fn queue_reject(&mut self, status: u16, message: &'static str, now: Instant) -> Step {
-        perfpred_core::metrics::counter("serve.rejected_requests").incr();
+    /// Queues a refusal (400/413/431) the same way; the loop flushes it.
+    fn refuse(&mut self, status: u16, message: &'static str) -> Step {
         self.queue(&Response::error(status, message), false);
         self.drain_after_write = true;
-        self.flush(now)
+        Step::Refused
     }
 
     fn queue(&mut self, response: &Response, keep: bool) {
@@ -370,7 +344,7 @@ impl Conn {
                     self.write_pos += n;
                     self.last_progress = now;
                 }
-                Err(e) if is_would_block(&e) => return Step::WantWrite,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::WantWrite,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Step::Close,
             }
@@ -404,7 +378,7 @@ impl Conn {
                     self.drained += n;
                     self.last_progress = now;
                 }
-                Err(e) if is_would_block(&e) => return Step::WantRead,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::WantRead,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Step::Close,
             }

@@ -15,8 +15,6 @@
 use crate::Json;
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// Upper bound on start line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -29,7 +27,7 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// page is tens of KB, anything past this is a misbehaving peer.
 pub const MAX_RESPONSE_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Bound on bytes discarded from a peer after an error response (see
-/// [`drain_then_close`]); past this the peer is hostile and an RST is fine.
+/// [`crate::conn`]); past this the peer is hostile and an RST is fine.
 pub const DRAIN_BUDGET_BYTES: usize = 256 * 1024;
 /// Bytes added to a buffer per `read` call in [`read_frame`].
 const READ_CHUNK: usize = 16 * 1024;
@@ -459,26 +457,6 @@ pub fn read_frame<R: Read>(
             Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Ends a blocking connection after an error response: half-closes, then
-/// reads and discards what the peer is still sending — until it closes,
-/// goes quiet for `quiet`, or [`DRAIN_BUDGET_BYTES`] have gone by — so
-/// the close is a FIN the peer can read the response through, not an RST
-/// that destroys it.
-pub fn drain_then_close(mut stream: TcpStream, quiet: Duration) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(quiet));
-    let mut sink = [0u8; 4096];
-    let mut drained = 0usize;
-    while drained < DRAIN_BUDGET_BYTES {
-        match stream.read(&mut sink) {
-            Ok(0) => return,
-            Ok(n) => drained += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
         }
     }
 }

@@ -20,6 +20,7 @@
 
 pub mod accuracy;
 pub mod cache;
+pub mod conn;
 pub mod distribution;
 pub mod error;
 pub mod faults;
@@ -30,7 +31,10 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod model;
+#[cfg(target_os = "linux")]
+pub mod reactor;
 pub mod server;
+pub mod shutdown;
 pub mod sla;
 pub mod summary;
 pub mod sys;

@@ -1,6 +1,7 @@
-//! Graceful-shutdown plumbing: a shared flag the accept loop, connection
-//! workers and solver pool all poll, settable from a POSIX signal handler
-//! (SIGTERM/SIGINT), the `POST /shutdown` endpoint, or tests.
+//! Graceful-shutdown plumbing: a shared flag the event loop's shards,
+//! its dispatchers and a daemon's own worker pools all poll, settable
+//! from a POSIX signal handler (SIGTERM/SIGINT), an endpoint such as
+//! serve's `POST /shutdown`, or tests.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

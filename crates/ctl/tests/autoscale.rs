@@ -195,9 +195,7 @@ fn hysteresis_does_not_flap_on_a_noisy_flat_trace() {
 
 // ---------------------------------------------------------------- e2e --
 
-/// One in-process serve node on the event-driven core (the threaded core
-/// pins a worker per connection, so a router holding keep-alive upstream
-/// connections would starve the scraper's fresh connections).
+/// One in-process serve node.
 fn start_node() -> (
     String,
     Arc<perfpred_serve::Shutdown>,
@@ -303,7 +301,21 @@ fn three_node_e2e_scales_up_then_down_without_losing_requests() {
     std::thread::spawn(move || {
         let _ = router.run();
     });
-    std::thread::sleep(Duration::from_millis(300));
+    // Ready once the prober has reached the node: a standalone node
+    // reports itself primary, and the router shows that after a probe.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let status =
+            perfpred_ctl::httpc::get(&router_addr, "/router/status", Duration::from_secs(2));
+        if status.is_ok_and(|r| r.body.contains("\"primary\": true")) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the router never probed its upstream"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // Capacity fiction for speed: ≤85 clients per replica (mrt = 10 + n,
     // bar = 100 × 0.95). Two driver threads at ~60 req/s feed the nodes'

@@ -2,7 +2,7 @@
 //!
 //! Layered queuing solves are the daemon's only expensive predictions
 //! (§8.5: seconds-scale against the historical model's microseconds), so
-//! cache misses are not solved on connection workers. They become [`Job`]s
+//! cache misses are not solved on the connection path. They become [`Job`]s
 //! on a bounded [`JobQueue`]; a small pool of solver threads drains jobs
 //! in batches, solving each against a thread-local [`AmvaWorkspace`] pool
 //! (buffers are reused allocation-free, but warm-start state is dropped
@@ -27,10 +27,10 @@ pub struct Job {
     /// The workload *as received*; the solver quantizes through the cache
     /// so lookup and solve agree.
     pub workload: Workload,
-    /// Where the waiting connection worker receives the result.
+    /// Where the waiting dispatcher receives the result.
     pub reply: mpsc::Sender<Result<Prediction, PredictError>>,
     /// When the requester stops caring. A job whose deadline has passed
-    /// by the time a solver picks it up is shed unsolved — the worker has
+    /// by the time a solver picks it up is shed unsolved — the dispatcher has
     /// already fallen back or answered 504, so solving would only burn a
     /// solver slot that queued-behind jobs still in budget are waiting on.
     pub deadline: Option<Instant>,
@@ -93,7 +93,7 @@ impl JobQueue {
 
 /// One solver thread's main loop.
 ///
-/// Runs until `shutdown` is requested *and* the queue is drained: workers
+/// Runs until `shutdown` is requested *and* the queue is drained: dispatchers
 /// stop enqueueing once shutdown begins (the router answers misses inline
 /// then), so draining first means no accepted request is ever dropped.
 pub fn solver_loop(

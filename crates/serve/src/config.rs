@@ -67,16 +67,15 @@ pub struct ServeConfig {
     /// When set, the daemon writes the bound port number here once
     /// listening — how the CI smoke job finds an ephemeral port.
     pub port_file: Option<PathBuf>,
-    /// Connection-handling worker threads (threaded core), or the
-    /// blocking-dispatcher pool size (reactor core).
+    /// Dispatcher threads running the routes that may block (`/observe`,
+    /// `/plan`, solver-bound `/predict`).
     pub workers: usize,
-    /// Epoll reactor shards for the event-driven core; `0` selects the
-    /// classic thread-per-connection core. Defaults to the CPU count
-    /// (1..8) on Linux and `0` elsewhere, where epoll does not exist.
+    /// Epoll reactor shards (at least 1). Defaults to the CPU count
+    /// (1..8).
     pub reactor_shards: usize,
     /// Layered-queuing solver threads (the micro-batching pool).
     pub solvers: usize,
-    /// Bound on connections queued between accept and the workers;
+    /// Bound on requests queued between the shards and the dispatchers;
     /// overflow is answered with an immediate 503.
     pub queue_depth: usize,
     /// Most predict jobs one solver drains per lock acquisition.
@@ -117,11 +116,7 @@ impl Default for ServeConfig {
             port: 7020,
             port_file: None,
             workers: parallelism.clamp(2, 16),
-            reactor_shards: if cfg!(target_os = "linux") {
-                parallelism.clamp(1, 8)
-            } else {
-                0
-            },
+            reactor_shards: parallelism.clamp(1, 8),
             solvers: (parallelism / 4).clamp(1, 4),
             queue_depth: 1024,
             batch_max: 32,
@@ -150,14 +145,12 @@ USAGE: perfpred-serve [OPTIONS]
   --host ADDR          interface to bind (default 127.0.0.1)
   --port N             port to bind; 0 = ephemeral (default 7020)
   --port-file PATH     write the bound port here once listening
-  --workers N          connection worker threads (threaded core) or
-                       blocking-dispatcher threads (reactor core)
+  --workers N          dispatcher threads for routes that may block
                        (default: CPU count, 2..16)
-  --reactor-shards N   epoll reactor shards for the event-driven core;
-                       0 = classic thread-per-connection core
-                       (default on Linux: CPU count, 1..8; elsewhere 0)
+  --reactor-shards N   epoll reactor shards, at least 1
+                       (default: CPU count, 1..8)
   --solvers N          LQ solver threads (default: CPU count / 4, 1..4)
-  --queue-depth N      accept-queue / dispatch-queue bound, overflow => 503
+  --queue-depth N      dispatch-queue bound, overflow => 503
                        (default 1024)
   --batch-max N        max predict jobs per solver batch (default 32)
   --threshold X        admission threshold in [0, 1) (default 0.05)
@@ -240,8 +233,8 @@ impl ServeConfig {
                         "--reactor-shards",
                     )?
                     .min(256);
-                    if cfg.reactor_shards > 0 && !cfg!(target_os = "linux") {
-                        return Err("--reactor-shards requires Linux (epoll)".into());
+                    if cfg.reactor_shards == 0 {
+                        return Err("--reactor-shards must be at least 1".into());
                     }
                 }
                 "--solvers" => {
@@ -380,22 +373,15 @@ mod tests {
         assert_eq!(cfg.cache.client_quantum, 1);
         assert!(cfg.workers >= 2);
         assert!(cfg.solvers >= 1);
-        if cfg!(target_os = "linux") {
-            assert!(cfg.reactor_shards >= 1, "reactor is the default on Linux");
-        } else {
-            assert_eq!(cfg.reactor_shards, 0);
-        }
+        assert!(cfg.reactor_shards >= 1);
     }
 
     #[test]
     fn reactor_shards_flag_selects_the_core() {
-        let cfg = parse(&["--reactor-shards", "0"]).unwrap();
-        assert_eq!(cfg.reactor_shards, 0, "0 falls back to the threaded core");
-        if cfg!(target_os = "linux") {
-            assert_eq!(parse(&["--reactor-shards", "4"]).unwrap().reactor_shards, 4);
-        } else {
-            assert!(parse(&["--reactor-shards", "4"]).is_err());
-        }
+        assert!(parse(&["--reactor-shards", "0"])
+            .unwrap_err()
+            .contains("at least 1"));
+        assert_eq!(parse(&["--reactor-shards", "4"]).unwrap().reactor_shards, 4);
         assert!(parse(&["--reactor-shards", "x"])
             .unwrap_err()
             .contains("--reactor-shards"));

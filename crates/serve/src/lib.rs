@@ -10,10 +10,8 @@
 //!
 //! The daemon is a std-only TCP server speaking HTTP/1.1 through the
 //! workspace's one codec, [`perfpred_core::http`] (the workspace stays
-//! dependency-free). Two cores serve it: the sharded epoll
-//! [`reactor`] on Linux, and the threaded [`server`] — a blocking driver
-//! of the same [`conn::Conn`] state machine, the serving path elsewhere
-//! and the reactor's differential oracle.
+//! dependency-free), on the workspace's one event loop,
+//! [`perfpred_core::reactor`] — so it runs on Linux only.
 //! It hosts the layered queuing, hybrid and (when calibrated) historical
 //! predictors behind [`perfpred_core::PredictionCache`] and answers:
 //!
@@ -37,18 +35,17 @@
 //! ## Serving stack
 //!
 //! ```text
-//!          accept loop (bounded queue, overload ⇒ 503)
-//!               │
-//!     ┌─────────┼─────────┐
-//!  worker    worker     worker      conn::Conn (core::http) + route
-//!     │         │          │        + admission
-//!     │         │          │
-//!     │   cache hit? ──────┼──────▶ answer in-line (µs path)
-//!     │         │          │
-//!     └──── miss: enqueue ─┘
-//!               │
-//!          solver pool (micro-batching, per-worker AmvaWorkspace
-//!          warm starts, results memoized into the shared cache)
+//!   listener ── reactor shards (epoll; connection cap ⇒ 503)
+//!                 │
+//!                 ├─ conn::Conn (core::http) + route + admission
+//!                 │
+//!                 ├─ cache hit? ─────────▶ answer on the shard (µs path)
+//!                 │
+//!                 └─ miss, /observe, /plan: dispatcher pool
+//!                          │       (bounded queue, overflow ⇒ 503)
+//!                    solver pool (micro-batching, per-worker
+//!                    AmvaWorkspace warm starts, results memoized
+//!                    into the shared cache)
 //! ```
 //!
 //! Admission control mirrors [`perfpred_resman::runtime`]: a predict
@@ -61,13 +58,16 @@ pub mod admission;
 pub mod arrivals;
 pub mod batch;
 pub mod config;
-pub mod conn;
 pub mod models;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod router;
-pub mod server;
-pub mod shutdown;
+
+/// The per-connection state machine and its parser re-exports, from the
+/// shared event loop.
+pub use perfpred_core::conn;
+/// Graceful shutdown: the token and the SIGTERM/SIGINT handlers.
+pub use perfpred_core::shutdown;
 
 /// The request/response types and limits the daemon speaks: the
 /// workspace's one HTTP/1.1 codec.
@@ -79,5 +79,4 @@ pub use config::{ModelSpec, ServeConfig};
 pub use models::{Method, ModelHost};
 #[cfg(target_os = "linux")]
 pub use reactor::ReactorServer;
-pub use server::Server;
 pub use shutdown::Shutdown;

@@ -1,5 +1,8 @@
 //! The `perfpred-serve` binary: parse flags, build the model host, bind,
-//! install signal handlers, serve until drained.
+//! install signal handlers, serve until drained. Linux only: the serving
+//! loop is built on epoll.
+
+#![cfg_attr(not(target_os = "linux"), allow(unused_imports, dead_code))]
 
 use perfpred_cluster::{
     rejoin_check, spawn_replicator, ClusterState, HubConfig, Lease, RejoinOutcome, ReplicationHub,
@@ -9,11 +12,18 @@ use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
 use perfpred_serve::shutdown::install_signal_handlers;
-use perfpred_serve::{ModelHost, ServeConfig, Server, Shutdown};
+use perfpred_serve::{ModelHost, ServeConfig, Shutdown};
 use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[cfg(not(target_os = "linux"))]
+fn main() {
+    eprintln!("perfpred-serve requires Linux (epoll)");
+    std::process::exit(1);
+}
+
+#[cfg(target_os = "linux")]
 fn main() {
     let cfg = match ServeConfig::from_args(std::env::args().skip(1)) {
         Ok(cfg) => cfg,
@@ -182,43 +192,11 @@ fn main() {
         app = app.with_cluster(state);
     }
 
-    // `--reactor-shards N` (the Linux default) serves through the
-    // event-driven epoll core; `--reactor-shards 0` falls back to the
-    // classic thread-per-connection core. Both share the same App, so
-    // responses are byte-identical either way.
-    #[cfg(target_os = "linux")]
-    if cfg.reactor_shards > 0 {
-        let server = match perfpred_serve::ReactorServer::bind(
-            &cfg.host,
-            cfg.port,
-            app,
-            cfg.reactor_shards,
-            cfg.workers,
-            cfg.solvers,
-            cfg.batch_max,
-            cfg.queue_depth,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot bind {}:{}: {e}", cfg.host, cfg.port);
-                std::process::exit(1);
-            }
-        };
-        announce(&cfg, server.local_addr(), "reactor", cfg.reactor_shards);
-        match server.run() {
-            Ok(()) => eprintln!("perfpred-serve: drained, bye"),
-            Err(e) => {
-                eprintln!("perfpred-serve: serve loop failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let server = match Server::bind(
+    let server = match perfpred_serve::ReactorServer::bind(
         &cfg.host,
         cfg.port,
         app,
+        cfg.reactor_shards,
         cfg.workers,
         cfg.solvers,
         cfg.batch_max,
@@ -230,7 +208,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    announce(&cfg, server.local_addr(), "threaded", cfg.workers);
+    announce(&cfg, server.local_addr());
     match server.run() {
         Ok(()) => eprintln!("perfpred-serve: drained, bye"),
         Err(e) => {
@@ -242,20 +220,15 @@ fn main() {
 
 /// Writes the port file (a hard error if asked for and impossible — CI
 /// scripts would hang otherwise) and prints the listening banner.
-fn announce(cfg: &ServeConfig, addr: std::net::SocketAddr, core: &str, units: usize) {
+fn announce(cfg: &ServeConfig, addr: std::net::SocketAddr) {
     if let Some(path) = &cfg.port_file {
         if let Err(e) = std::fs::write(path, format!("{}\n", addr.port())) {
             eprintln!("cannot write port file {}: {e}", path.display());
             std::process::exit(1);
         }
     }
-    let unit_name = if core == "reactor" {
-        "shards"
-    } else {
-        "workers"
-    };
     println!(
-        "perfpred-serve listening on http://{addr} ({core} core, {units} {unit_name}, {} solvers, threshold {})",
-        cfg.solvers, cfg.admission.threshold
+        "perfpred-serve listening on http://{addr} (reactor core, {} shards, {} solvers, threshold {})",
+        cfg.reactor_shards, cfg.solvers, cfg.admission.threshold
     );
 }

@@ -180,7 +180,7 @@ impl ModelHost {
     ///
     /// This is the path for historical/hybrid requests (microsecond
     /// closed-form solves) and for `/plan`; the router sends layered
-    /// queuing *misses* to the batching solver pool instead, so worker
+    /// queuing *misses* to the batching solver pool instead, so dispatcher
     /// threads never run an AMVA solve inline.
     pub fn predict_inline(
         &self,

@@ -11,6 +11,8 @@
 //! This binary owns the whole process, so it installs the process-global
 //! fault plan up front; every replication hub draws from the same plan.
 
+#![cfg(target_os = "linux")]
+
 use perfpred_cluster::repl::{
     rejoin_check, spawn_replicator, HubConfig, RejoinOutcome, ReplicationHub, ReplicatorConfig,
 };
@@ -23,7 +25,7 @@ use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
-use perfpred_serve::{ModelHost, Server, Shutdown};
+use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -101,11 +103,7 @@ impl Node {
             Arc::clone(&store),
         )
         .with_cluster(Arc::clone(&state));
-        // Plenty of workers: the router's pooled keep-alive connections
-        // (client threads + health prober) each pin one for the node's
-        // lifetime, and the test's direct byte-identity probes at the end
-        // still need free capacity on top of them.
-        let server = Server::bind("127.0.0.1", 0, app, 16, 2, 8, 64).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 8, 64).unwrap();
         let http_addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let handle = thread::spawn(move || server.run().unwrap());

@@ -1,22 +1,23 @@
 //! Reactor-core integration tests: adversarial framing (one-byte writes,
 //! hostile chunk boundaries, pipelining), slow-loris eviction, and the
-//! differential trace holding the reactor byte-identical to the threaded
-//! core over every deterministic endpoint.
+//! golden transcript holding the daemon's bytes fixed over every
+//! deterministic endpoint.
 
 #![cfg(target_os = "linux")]
 
 use perfpred_core::http::{self, HeadOutcome, Response};
-use perfpred_core::CacheOptions;
+use perfpred_core::{CacheOptions, Json};
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
-use perfpred_serve::{ModelHost, ReactorServer, Server, Shutdown};
+use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn make_app() -> App {
     App::new(
@@ -65,18 +66,6 @@ fn start_reactor_with(stall: Option<Duration>) -> Running {
 
 fn start_reactor() -> Running {
     start_reactor_with(None)
-}
-
-fn start_threaded() -> Running {
-    let server = Server::bind("127.0.0.1", 0, make_app(), 2, 1, 8, 64).unwrap();
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let handle = thread::spawn(move || server.run().unwrap());
-    Running {
-        addr,
-        shutdown,
-        handle: Some(handle),
-    }
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -252,13 +241,27 @@ fn slow_loris_is_evicted_but_idle_keepalive_survives() {
     let mut loris = connect(server.addr);
     loris.write_all(b"GET /healthz HTT").unwrap();
 
-    thread::sleep(Duration::from_millis(900));
-
-    // The loris read must see the server-side close (EOF or reset).
+    // The loris read blocks until the server-side close (EOF or reset);
+    // a read timeout means the sweep never evicted it.
+    loris
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
     let mut sink = [0u8; 64];
     match loris.read(&mut sink) {
         Ok(0) => {}
         Ok(n) => panic!("stalled connection got {n} bytes instead of a close"),
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            panic!(
+                "stalled connection still open after {:?}",
+                started.elapsed()
+            )
+        }
         Err(_) => {} // ECONNRESET is an acceptable close too
     }
     assert!(
@@ -273,95 +276,56 @@ fn slow_loris_is_evicted_but_idle_keepalive_survives() {
     server.stop();
 }
 
-/// The tentpole's correctness contract: both cores, fed the identical
-/// request trace over the deterministic endpoints, emit identical bytes —
-/// same JSON, same framing headers, same keep-alive decisions.
+/// The serving contract, pinned: `fixtures/golden_trace.json` holds a
+/// deterministic request trace and the exact bytes answering it — same
+/// JSON, same framing headers, same keep-alive decisions — across every
+/// deterministic endpoint. (/healthz carries uptime and /metrics latency
+/// histograms, so they are left out; /observe pins `timestamp_us` so
+/// nothing reads the wall clock.) Steps sharing a `conn` number share one
+/// keep-alive connection. The transcript was recorded while a second,
+/// thread-per-connection serving core still answered it byte for byte.
 #[test]
-fn threaded_and_reactor_traces_are_byte_identical() {
-    // Serial, deterministic trace. /healthz (uptime) and /metrics
-    // (latency histograms) are excluded by design; /observe pins
-    // timestamp_us so nothing reads the wall clock.
-    let trace: Vec<Vec<u8>> = vec![
-        frame("GET", "/models", "", false),
-        frame(
-            "POST",
-            "/predict",
-            r#"{"method": "hybrid", "server": "AppServS", "clients": 150}"#,
-            false,
-        ),
-        frame(
-            "POST",
-            "/predict",
-            r#"{"method": "lqns", "server": "AppServF", "clients": 200}"#,
-            false,
-        ),
-        // Identical repeat: must come back cached in both cores.
-        frame(
-            "POST",
-            "/predict",
-            r#"{"method": "lqns", "server": "AppServF", "clients": 200}"#,
-            false,
-        ),
-        frame(
-            "POST",
-            "/observe",
-            r#"{"server": "AppServS", "clients": 80, "mrt_ms": 140.5, "timestamp_us": 1000}"#,
-            false,
-        ),
-        frame("GET", "/models", "", false),
-        frame("GET", "/does-not-exist", "", false),
-        frame("DELETE", "/predict", "", false),
-        frame("POST", "/predict", "{not json", false),
-        frame("POST", "/plan", r#"{"workloads": "nope"}"#, false),
-    ];
+fn golden_transcript_is_byte_identical() {
+    let doc = Json::parse(include_str!("fixtures/golden_trace.json")).unwrap();
+    let steps = doc.get("steps").and_then(Json::as_arr).unwrap();
+    let server = start_reactor();
 
-    let run_trace = |addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut replies = Vec::new();
-        let mut stream = connect(addr);
-        for req in &trace {
-            stream.write_all(req).unwrap();
-            replies.push(recv_frame(&mut stream));
-        }
-        // Reject path on its own connection (the server closes it).
-        let mut stream = connect(addr);
-        stream
-            .write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 9999999999\r\n\r\n")
-            .unwrap();
-        replies.push(recv_frame(&mut stream));
-        // Shutdown last: its response and Connection: close must match.
-        let mut stream = connect(addr);
-        stream
-            .write_all(&frame("POST", "/shutdown", "", false))
-            .unwrap();
-        replies.push(recv_frame(&mut stream));
-        replies
-    };
+    // A malformed request line is refused with a 400 and a close, like
+    // an oversized one — never a silent hang-up.
+    let mut stream = connect(server.addr);
+    stream.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    let mut expected = Vec::new();
+    Response::error(400, "malformed request").write_into(&mut expected, false);
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        String::from_utf8_lossy(&expected)
+    );
 
-    let mut threaded = start_threaded();
-    let threaded_replies = run_trace(threaded.addr);
-    threaded.stop();
-
-    let mut reactor = start_reactor();
-    let reactor_replies = run_trace(reactor.addr);
-    reactor.stop();
-
-    assert_eq!(threaded_replies.len(), reactor_replies.len());
-    for (i, (t, r)) in threaded_replies.iter().zip(&reactor_replies).enumerate() {
+    let mut conns: BTreeMap<u32, TcpStream> = BTreeMap::new();
+    let mut replies = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        let field = |name: &str| step.get(name).and_then(Json::as_str).unwrap();
+        let conn = step.get("conn").and_then(Json::as_u32).unwrap();
+        let stream = conns.entry(conn).or_insert_with(|| connect(server.addr));
+        stream.write_all(field("request").as_bytes()).unwrap();
+        let reply = recv_frame(stream);
         assert_eq!(
-            t,
-            r,
-            "trace step {i} diverged:\n--- threaded ---\n{}\n--- reactor ---\n{}",
-            String::from_utf8_lossy(t),
-            String::from_utf8_lossy(r)
+            String::from_utf8_lossy(&reply),
+            field("response"),
+            "trace step {i} diverged from the golden transcript"
         );
+        replies.push(reply);
     }
     // Sanity: the interesting shapes actually occurred.
-    assert_eq!(status_of(&threaded_replies[1]), 200);
-    assert_eq!(status_of(&threaded_replies[6]), 404);
-    assert_eq!(status_of(&threaded_replies[7]), 405);
-    assert_eq!(status_of(&threaded_replies[8]), 400);
-    assert_eq!(status_of(&threaded_replies[10]), 413);
-    let cached = String::from_utf8_lossy(&threaded_replies[3]);
+    assert_eq!(replies.len(), 12);
+    assert_eq!(status_of(&replies[1]), 200);
+    assert_eq!(status_of(&replies[6]), 404);
+    assert_eq!(status_of(&replies[7]), 405);
+    assert_eq!(status_of(&replies[8]), 400);
+    assert_eq!(status_of(&replies[10]), 413);
+    let cached = String::from_utf8_lossy(&replies[3]);
     assert!(cached.contains("\"cached\": true"), "{cached}");
 }
 

@@ -1,5 +1,7 @@
 //! End-to-end tests: a real daemon on an ephemeral port, raw TCP clients,
-//! the full worker/solver/drain machinery engaged.
+//! the full shard/dispatcher/solver/drain machinery engaged.
+
+#![cfg(target_os = "linux")]
 
 use perfpred_core::http::{self, HeadOutcome, Response};
 use perfpred_core::{CacheOptions, Json};
@@ -7,7 +9,7 @@ use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
 use perfpred_serve::router::App;
-use perfpred_serve::{ModelHost, Server, Shutdown};
+use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -27,7 +29,7 @@ impl Daemon {
             JobQueue::new(256),
             Shutdown::new(),
         );
-        let server = Server::bind("127.0.0.1", 0, app, 4, 2, 16, 64).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 16, 64).unwrap();
         let addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let handle = thread::spawn(move || server.run().unwrap());
