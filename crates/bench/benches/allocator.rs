@@ -153,8 +153,8 @@ fn check_amva_zero_alloc(rec: &mut Recorder) {
 const LAYERED_SOLVE_ALLOCATION_CEILING: u64 = 250;
 
 /// Counts the heap allocations of warm-pool predictions at the Trade
-/// shape (browse + buy chains over the three case-study servers), the
-/// way the serving daemon's solver threads make them, and asserts
+/// shape (browse + buy chains over the three case-study servers) through
+/// one pool held across solves, and asserts
 /// [`LAYERED_SOLVE_ALLOCATION_CEILING`] per solve.
 fn check_layered_solve_allocs(rec: &mut Recorder) {
     group("lqns_layered_solve_allocs");

@@ -25,8 +25,10 @@
 //! deterministic even when a slow server makes the sender late).
 //!
 //! Results (throughput, exact p50/p95/p99 from the merged samples,
-//! rejection and error rates) are printed and merged into `BENCH.json`
-//! under `section.serve` via [`perfpred_bench::timing::Recorder`].
+//! rejection and error rates) are printed; with `--bench-section NAME`
+//! they are also merged into `BENCH.json` under `section.NAME` via
+//! [`perfpred_bench::timing::Recorder`]. Without it the file is left
+//! alone, so an ad-hoc run never overwrites a recorded section.
 //!
 //! With `--report-observations` the generator also closes the daemon's
 //! continuous-refit loop: the key space spreads across 0.15–1.55 of the
@@ -79,8 +81,8 @@ USAGE: loadgen --port N [OPTIONS]
   --idle-connections N park N extra accepted keep-alive sockets for the
                        whole run (measures multiplexing cost at high
                        connection counts)
-  --bench-section NAME BENCH.json section to record under (default serve,
-                       serve.observe or serve.chaos by mode)
+  --bench-section NAME record the results into this BENCH.json section
+                       (without it, nothing is written)
   --note KEY=VAL       attach an extra note to the BENCH.json section
                        (repeatable; VAL records as a number when it parses
                        as one — lets an orchestrating script embed
@@ -105,7 +107,7 @@ USAGE: loadgen --port N [OPTIONS]
                        degraded-mode answers, and a probe thread fires
                        malformed/oversized requests at fresh connections
                        checking every byte the daemon answers is valid
-                       HTTP; results land in BENCH.json under serve.chaos
+                       HTTP
   --min-availability X exit 1 unless the fraction of requests answered 200
                        reaches X (chaos mode's success-rate floor; with
                        --targets it gates the run without implying chaos)
@@ -115,9 +117,9 @@ USAGE: loadgen --port N [OPTIONS]
                        next target — counted as a retry, not an error —
                        so a node death costs latency, not availability.
                        Per-target requests/errors/retries/p99 land in the
-                       summary and in BENCH.json (default section:
-                       cluster), plus the primary's replication lag read
-                       from GET /cluster at the end of the run
+                       summary (and in BENCH.json with --bench-section),
+                       plus the primary's replication lag read from
+                       GET /cluster at the end of the run
   --help               print this text
 ";
 
@@ -1221,26 +1223,9 @@ fn main() {
         lag
     };
 
-    // Observation-reporting, chaos and open-loop runs are different
-    // workloads — each keeps its own BENCH.json slice so the plain serving
-    // trajectory stays comparable across runs. --bench-section overrides
-    // (the CI reactor leg lands under serve.reactor this way).
-    let section = cfg.bench_section.clone().unwrap_or_else(|| {
-        if !cfg.targets.is_empty() {
-            "cluster".into()
-        } else if cfg.chaos {
-            "serve.chaos".into()
-        } else if cfg.report_observations {
-            "serve.observe".into()
-        } else if !cfg.phases.is_empty() {
-            "serve.phased".into()
-        } else if cfg.rate.is_some() {
-            "serve.open".into()
-        } else {
-            "serve".into()
-        }
-    });
-    let mut rec = Recorder::new(&section);
+    // The notes are collected either way; only a run that names its
+    // BENCH.json section writes them (below).
+    let mut rec = Recorder::new(cfg.bench_section.as_deref().unwrap_or_default());
     rec.note("clients", cfg.clients);
     rec.note("duration_s", elapsed);
     rec.note("think_ms", cfg.think_ms);
@@ -1311,7 +1296,9 @@ fn main() {
             rec.note("replication_lag_records", lag);
         }
     }
-    rec.write();
+    if cfg.bench_section.is_some() {
+        rec.write();
+    }
 
     if let Some(probe) = &probe_report {
         if probe.malformed > 0 {

@@ -272,9 +272,11 @@ impl<M: PerformanceModel> PredictionCache<M> {
     }
 
     /// Looks up a memoized prediction without ever invoking the wrapped
-    /// model. `Some` counts as a hit; `None` counts nothing — pair with
-    /// [`insert`] after solving the miss externally (the serving daemon's
-    /// solver workers do this to keep warm-start state out of the cache).
+    /// model. `Some` counts as a hit; `None` counts nothing — follow it
+    /// with [`PerformanceModel::predict`], whose miss path re-peeks,
+    /// solves and memoizes (the serving daemon peeks on a reactor shard
+    /// and solves on a dispatcher), or with [`insert`] after solving the
+    /// miss externally.
     ///
     /// [`insert`]: PredictionCache::insert
     pub fn peek(

@@ -22,14 +22,10 @@ pub enum PredictError {
     /// A model definition is structurally invalid (dangling reference,
     /// cyclic synchronous call graph, zero multiplicity, ...).
     InvalidModel(String),
-    /// The serving layer shed the request (solver queue full, reply
-    /// deadline blown): the prediction was never attempted and the caller
-    /// should retry later. Distinct from [`PredictError::Solver`], which
-    /// means the solve ran and failed.
-    Overloaded(String),
-    /// The request's deadline budget ran out before a solver could answer
-    /// — the job was shed from the queue (or the reply never arrived in
-    /// budget) and the serving layer should fall back or answer 504.
+    /// The request's deadline budget ran out before its solve could start
+    /// — the serving layer shed it unsolved and should fall back or
+    /// answer 504. Distinct from [`PredictError::Solver`], which means the
+    /// solve ran and failed.
     DeadlineExpired(String),
 }
 
@@ -41,7 +37,6 @@ impl fmt::Display for PredictError {
             PredictError::OutOfRange(msg) => write!(f, "input out of range: {msg}"),
             PredictError::Solver(msg) => write!(f, "solver error: {msg}"),
             PredictError::InvalidModel(msg) => write!(f, "invalid model: {msg}"),
-            PredictError::Overloaded(msg) => write!(f, "overloaded: {msg}"),
             PredictError::DeadlineExpired(msg) => write!(f, "deadline expired: {msg}"),
         }
     }

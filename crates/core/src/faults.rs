@@ -4,9 +4,9 @@
 //! when predictions are wrong — only holds if the failure paths are
 //! exercised. This module turns a `PERFPRED_FAULTS` spec into a
 //! [`FaultPlan`] the daemon's injection points consult: the accept loop,
-//! the solver pool and the observation store each ask "does this fault
-//! fire now?" and the plan answers from a seeded splitmix64 stream, so a
-//! chaos run replays identically under the same seed.
+//! the layered-queuing solve and the observation store each ask "does
+//! this fault fire now?" and the plan answers from a seeded splitmix64
+//! stream, so a chaos run replays identically under the same seed.
 //!
 //! ## Spec grammar
 //!
@@ -49,7 +49,7 @@ pub const FAULT_SEED_ENV: &str = "PERFPRED_FAULT_SEED";
 /// An injection point the serving stack consults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Sleep before each layered-queuing solve in the batch solver pool
+    /// Sleep before each layered-queuing solve a serving dispatcher runs
     /// (models a slow or contended solver; takes a duration parameter).
     SolverDelay,
     /// Fail an observation-store ingest with an injected I/O error before

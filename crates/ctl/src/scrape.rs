@@ -37,8 +37,6 @@ pub struct NodeScrape {
     pub buy_rps: f64,
     /// Reactor dispatch queue depth.
     pub dispatch_queue: u64,
-    /// Solver queue depth.
-    pub solver_queue: u64,
     /// `/predict` latency p50 over the node's lifetime, ms (0 when the
     /// node has served nothing).
     pub predict_p50_ms: f64,
@@ -59,7 +57,6 @@ impl NodeScrape {
             browse_rps: 0.0,
             buy_rps: 0.0,
             dispatch_queue: 0,
-            solver_queue: 0,
             predict_p50_ms: 0.0,
             predict_p99_ms: 0.0,
         }
@@ -77,7 +74,6 @@ impl NodeScrape {
         o.set("browse_rps", self.browse_rps);
         o.set("buy_rps", self.buy_rps);
         o.set("dispatch_queue", self.dispatch_queue);
-        o.set("solver_queue", self.solver_queue);
         o.set("predict_p50_ms", self.predict_p50_ms);
         o.set("predict_p99_ms", self.predict_p99_ms);
         o
@@ -113,7 +109,6 @@ impl NodeScrape {
             browse_rps: f("browse_rps")?,
             buy_rps: f("buy_rps")?,
             dispatch_queue: u("dispatch_queue")?,
-            solver_queue: u("solver_queue")?,
             predict_p50_ms: f("predict_p50_ms")?,
             predict_p99_ms: f("predict_p99_ms")?,
         })
@@ -173,10 +168,6 @@ pub fn scrape_node(addr: &str, timeout: Duration) -> NodeScrape {
         .get("dispatch_queue_depth")
         .and_then(Json::as_f64)
         .unwrap_or(0.0) as u64;
-    scrape.solver_queue = h
-        .get("solver_queue_depth")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64;
     if let Ok(m) = httpc::get(addr, "/metrics", timeout) {
         if m.ok() {
             scrape.predict_p50_ms =
@@ -234,7 +225,6 @@ mod tests {
             browse_rps: 111.1,
             buy_rps: 12.356,
             dispatch_queue: 3,
-            solver_queue: 1,
             predict_p50_ms: 0.125,
             predict_p99_ms: 2.5,
         };
@@ -265,7 +255,7 @@ serve_http_predict_ms{quantile=\"0.5\"} 0.25
 serve_http_predict_ms{quantile=\"0.99\"} 4.5
 serve_http_predict_ms_sum 100
 serve_http_predict_ms_count 400
-serve_solver_queue_depth 2
+serve_dispatch_queue_depth 2
 ";
         assert_eq!(
             exposition_value(text, "serve_http_predict_ms", "quantile=\"0.5\""),
@@ -276,7 +266,7 @@ serve_solver_queue_depth 2
             Some(4.5)
         );
         assert_eq!(
-            exposition_value(text, "serve_solver_queue_depth", ""),
+            exposition_value(text, "serve_dispatch_queue_depth", ""),
             Some(2.0)
         );
         assert_eq!(exposition_value(text, "serve_missing", ""), None);

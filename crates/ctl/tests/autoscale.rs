@@ -10,7 +10,6 @@ use perfpred_ctl::models::{Models, WhatIfMode};
 use perfpred_ctl::plan::{ActionKind, CtlConfig, CtlState, TickInputs};
 use perfpred_ctl::scrape::NodeScrape;
 use perfpred_ctl::{run_trace, Controller};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -210,7 +209,7 @@ fn start_node() -> (
         JobQueue::new(64),
         perfpred_serve::Shutdown::new(),
     );
-    let server = perfpred_serve::ReactorServer::bind("127.0.0.1", 0, app, 2, 2, 1, 8, 64).unwrap();
+    let server = perfpred_serve::ReactorServer::bind("127.0.0.1", 0, app, 2, 2).unwrap();
     let addr = server.local_addr().to_string();
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || {
@@ -261,20 +260,12 @@ impl NodeLauncher for TestLauncher {
     }
 }
 
-/// Blocking client: one POST /predict, returns the status line's code.
+/// Blocking client: one POST /predict, returns the status code.
 fn post_predict(addr: &str) -> Option<u16> {
-    use std::io::Read as _;
     let body = r#"{"method": "hybrid", "server": "AppServF", "clients": 5}"#;
-    let mut stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    let req = format!(
-        "POST /predict HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).ok()?;
-    let mut out = String::new();
-    stream.read_to_string(&mut out).ok()?;
-    out.split_whitespace().nth(1)?.parse().ok()
+    perfpred_ctl::httpc::post_json(addr, "/predict", body, Duration::from_secs(5))
+        .ok()
+        .map(|r| r.status)
 }
 
 /// ISSUE acceptance: end-to-end — one node under phased load grows to

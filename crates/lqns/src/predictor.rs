@@ -4,6 +4,14 @@ use crate::mva::AmvaWorkspace;
 use crate::solve::solve_with_pool;
 use crate::trade::TradeLqnConfig;
 use perfpred_core::{PerformanceModel, PredictError, Prediction, ServerArch, Workload};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Solver buffers [`PerformanceModel::predict`] reuses across calls on
+    /// this thread (a serving dispatcher, a sweep worker), so a solve does
+    /// not re-allocate its AMVA workspaces.
+    static WORKSPACES: RefCell<Vec<AmvaWorkspace>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Application-server utilisation above which an operating point is
 /// reported as saturated (at/after max throughput).
@@ -122,9 +130,16 @@ impl PerformanceModel for LqnPredictor {
         server: &ServerArch,
         workload: &Workload,
     ) -> Result<Prediction, PredictError> {
-        // Fresh pool per prediction: deterministic regardless of what this
-        // predictor solved before (warm-start state never crosses calls).
-        self.predict_with_pool(server, workload, &mut Vec::new())
+        // The thread's pool lends its buffers, but its warm-start state is
+        // invalidated first: every prediction is a cold solve, bit-identical
+        // to one through a fresh pool whatever this thread solved before.
+        WORKSPACES.with(|pool| {
+            let mut pool = pool.borrow_mut();
+            for ws in pool.iter_mut() {
+                ws.invalidate();
+            }
+            self.predict_with_pool(server, workload, &mut pool)
+        })
     }
 }
 

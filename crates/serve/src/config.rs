@@ -68,18 +68,15 @@ pub struct ServeConfig {
     /// listening — how the CI smoke job finds an ephemeral port.
     pub port_file: Option<PathBuf>,
     /// Dispatcher threads running the routes that may block (`/observe`,
-    /// `/plan`, solver-bound `/predict`).
+    /// `/plan`, and layered-queuing `/predict` misses, solved on the
+    /// dispatcher itself).
     pub workers: usize,
     /// Epoll reactor shards (at least 1). Defaults to the CPU count
     /// (1..8).
     pub reactor_shards: usize,
-    /// Layered-queuing solver threads (the micro-batching pool).
-    pub solvers: usize,
     /// Bound on requests queued between the shards and the dispatchers;
     /// overflow is answered with an immediate 503.
     pub queue_depth: usize,
-    /// Most predict jobs one solver drains per lock acquisition.
-    pub batch_max: usize,
     /// Admission-control options; the threshold is validated at parse
     /// time via [`RuntimeOptions::with_threshold`].
     pub admission: RuntimeOptions,
@@ -100,8 +97,9 @@ pub struct ServeConfig {
     /// early (drift) refit; `0` disables drift detection.
     pub drift_threshold: f64,
     /// Default `/predict` deadline budget in milliseconds; `0` disables
-    /// deadlines (requests then wait the full solver reply timeout). A
-    /// request's own `deadline_ms` field overrides this per call.
+    /// deadlines (an lqns miss is then always solved, however long it
+    /// queued). A request's own `deadline_ms` field overrides this per
+    /// call.
     pub deadline_ms: u64,
     /// Replicated-cluster membership; `None` = standalone daemon.
     pub cluster: Option<ClusterConfig>,
@@ -117,9 +115,7 @@ impl Default for ServeConfig {
             port_file: None,
             workers: parallelism.clamp(2, 16),
             reactor_shards: parallelism.clamp(1, 8),
-            solvers: (parallelism / 4).clamp(1, 4),
             queue_depth: 1024,
-            batch_max: 32,
             admission: RuntimeOptions::default(),
             cache: CacheOptions {
                 capacity: Some(262_144),
@@ -145,14 +141,15 @@ USAGE: perfpred-serve [OPTIONS]
   --host ADDR          interface to bind (default 127.0.0.1)
   --port N             port to bind; 0 = ephemeral (default 7020)
   --port-file PATH     write the bound port here once listening
-  --workers N          dispatcher threads for routes that may block
+  --workers N          dispatcher threads for routes that may block; they
+                       also solve layered-queuing cache misses
                        (default: CPU count, 2..16)
   --reactor-shards N   epoll reactor shards, at least 1
                        (default: CPU count, 1..8)
-  --solvers N          LQ solver threads (default: CPU count / 4, 1..4)
+  --solvers N          accepted for compatibility and ignored: misses are
+                       solved on the --workers dispatchers
   --queue-depth N      dispatch-queue bound, overflow => 503
                        (default 1024)
-  --batch-max N        max predict jobs per solver batch (default 32)
   --threshold X        admission threshold in [0, 1) (default 0.05)
   --cache-capacity N   prediction-cache entry bound, 0 = unbounded
                        (default 262144)
@@ -238,17 +235,14 @@ impl ServeConfig {
                     }
                 }
                 "--solvers" => {
-                    cfg.solvers =
-                        parsed::<usize>(&value(&mut args, "--solvers")?, "--solvers")?.clamp(1, 64);
+                    // Sizes nothing since misses are solved on the
+                    // dispatchers; still validated, so scripts keep working.
+                    parsed::<usize>(&value(&mut args, "--solvers")?, "--solvers")?;
                 }
                 "--queue-depth" => {
                     cfg.queue_depth =
                         parsed::<usize>(&value(&mut args, "--queue-depth")?, "--queue-depth")?
                             .max(1);
-                }
-                "--batch-max" => {
-                    cfg.batch_max =
-                        parsed::<usize>(&value(&mut args, "--batch-max")?, "--batch-max")?.max(1);
                 }
                 "--threshold" => {
                     let t: f64 = parsed(&value(&mut args, "--threshold")?, "--threshold")?;
@@ -372,7 +366,6 @@ mod tests {
         assert!(cfg.cache.capacity.is_some());
         assert_eq!(cfg.cache.client_quantum, 1);
         assert!(cfg.workers >= 2);
-        assert!(cfg.solvers >= 1);
         assert!(cfg.reactor_shards >= 1);
     }
 
@@ -398,8 +391,6 @@ mod tests {
             "2",
             "--queue-depth",
             "7",
-            "--batch-max",
-            "4",
             "--threshold",
             "0.2",
             "--cache-capacity",
@@ -424,9 +415,11 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.port, 0);
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.solvers, 2);
         assert_eq!(cfg.queue_depth, 7);
-        assert_eq!(cfg.batch_max, 4);
+        // --solvers is still accepted (and validated) but sizes nothing.
+        assert!(parse(&["--solvers", "x"])
+            .unwrap_err()
+            .contains("--solvers"));
         assert!((cfg.admission.threshold - 0.2).abs() < 1e-12);
         assert_eq!(cfg.cache.capacity, None);
         assert_eq!(cfg.cache.client_quantum, 10);

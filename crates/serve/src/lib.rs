@@ -42,10 +42,9 @@
 //!                 ├─ cache hit? ─────────▶ answer on the shard (µs path)
 //!                 │
 //!                 └─ miss, /observe, /plan: dispatcher pool
-//!                          │       (bounded queue, overflow ⇒ 503)
-//!                    solver pool (micro-batching, per-worker
-//!                    AmvaWorkspace warm starts, results memoized
-//!                    into the shared cache)
+//!                          (bounded queue, overflow ⇒ 503; an lqns
+//!                          miss is solved on the dispatcher and
+//!                          memoized into the shared cache)
 //! ```
 //!
 //! Admission control mirrors [`perfpred_resman::runtime`]: a predict

@@ -198,9 +198,6 @@ fn main() {
         app,
         cfg.reactor_shards,
         cfg.workers,
-        cfg.solvers,
-        cfg.batch_max,
-        cfg.queue_depth,
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -228,7 +225,7 @@ fn announce(cfg: &ServeConfig, addr: std::net::SocketAddr) {
         }
     }
     println!(
-        "perfpred-serve listening on http://{addr} (reactor core, {} shards, {} solvers, threshold {})",
-        cfg.reactor_shards, cfg.solvers, cfg.admission.threshold
+        "perfpred-serve listening on http://{addr} (reactor core, {} shards, {} dispatchers, threshold {})",
+        cfg.reactor_shards, cfg.workers, cfg.admission.threshold
     );
 }

@@ -17,8 +17,8 @@ use std::sync::Arc;
 pub enum Method {
     /// The §4 historical model (requires a calibrated daemon).
     Historical,
-    /// The §5 layered queuing model (misses are solved on the batching
-    /// solver pool; everything else answers inline).
+    /// The §5 layered queuing model (misses are solved on a dispatcher
+    /// thread; hits answer inline on the reactor shard).
     Lqns,
     /// The §6 advanced hybrid model.
     Hybrid,
@@ -57,7 +57,7 @@ impl Method {
 /// [`Experiments`] measurement campaigns. The hybrid model depends on the
 /// [`ModelSpec`] as before.
 pub struct ModelHost {
-    /// Layered queuing behind a cache; misses route to the solver pool.
+    /// Layered queuing behind a cache; misses are solved on a dispatcher.
     pub lqns: PredictionCache<LqnPredictor>,
     /// Historical predictions through the registry's current model. The
     /// cache keys carry the registry's version, so any publish — local
@@ -179,9 +179,10 @@ impl ModelHost {
     /// Predicts through the method's cache, solving inline on a miss.
     ///
     /// This is the path for historical/hybrid requests (microsecond
-    /// closed-form solves) and for `/plan`; the router sends layered
-    /// queuing *misses* to the batching solver pool instead, so dispatcher
-    /// threads never run an AMVA solve inline.
+    /// closed-form solves), for `/plan`, and for the degraded ladder. A
+    /// layered queuing `/predict` reaches the same cache miss path from
+    /// the router, on a dispatcher thread, so a reactor shard never runs
+    /// an AMVA solve.
     pub fn predict_inline(
         &self,
         method: Method,

@@ -1,14 +1,12 @@
 //! The daemon's serving loop: the workspace's one event loop
-//! ([`perfpred_core::reactor`]) around [`App`], plus the solver pool the
-//! app's layered-queuing misses queue into.
+//! ([`perfpred_core::reactor`]) around [`App`].
 //!
 //! ```text
 //!   reactor shards ── App::try_handle: GET endpoints, cache-hit /predict,
 //!        │            answered on the shard (µs path)
 //!        └─ offload ─ dispatcher pool ── App::handle_at: /observe, /plan,
-//!                            │           solver-bound /predict
-//!                     solver pool (micro-batching, per-worker
-//!                     AmvaWorkspace warm starts, memoized results)
+//!                                        lqns /predict misses, solved on
+//!                                        the dispatcher and memoized
 //! ```
 //!
 //! Admission control, deadline propagation (anchored at *arrival*, so
@@ -16,7 +14,6 @@
 //! injection all live in [`App`]; framing, the connection cap, the stall
 //! sweep and the drain live in the shared loop.
 
-use crate::batch::solver_loop;
 use crate::http::{Request, Response};
 use crate::router::App;
 use crate::shutdown::Shutdown;
@@ -41,38 +38,31 @@ impl Handler for App {
 pub struct ReactorServer {
     reactor: Reactor,
     app: Arc<App>,
-    solvers: usize,
-    batch_max: usize,
 }
 
 impl ReactorServer {
     /// Binds `host:port` (port 0 = ephemeral) around an assembled [`App`].
-    /// `shards` sizes the epoll reactor, `dispatchers` the pool running
-    /// blocking routes, `queue_depth` the dispatch queue between them.
-    #[allow(clippy::too_many_arguments)]
+    /// `shards` sizes the epoll reactor and `dispatchers` the pool running
+    /// blocking routes; the dispatch queue between them takes its bound
+    /// from `app.queue` and publishes its live depth there.
     pub fn bind(
         host: &str,
         port: u16,
         app: App,
         shards: usize,
         dispatchers: usize,
-        solvers: usize,
-        batch_max: usize,
-        queue_depth: usize,
     ) -> io::Result<ReactorServer> {
         let mut reactor = Reactor::bind(host, port, "serve")?;
         reactor.shards = shards.max(1);
         reactor.dispatchers = dispatchers.max(1);
-        reactor.queue_depth = queue_depth.max(1);
-        reactor.dispatch_depth = Arc::clone(&app.dispatch_depth);
+        reactor.queue_depth = app.queue.capacity;
+        reactor.dispatch_depth = Arc::clone(&app.queue.depth);
         // Publish the shard count so /healthz can report the serving
         // topology.
         app.reactor_shards.store(reactor.shards, Ordering::Relaxed);
         Ok(ReactorServer {
             reactor,
             app: Arc::new(app),
-            solvers: solvers.max(1),
-            batch_max: batch_max.max(1),
         })
     }
 
@@ -93,30 +83,12 @@ impl ReactorServer {
     }
 
     /// Serves until shutdown is requested, then drains in dependency
-    /// order: the event loop (shards, then dispatchers) first; the solver
-    /// pool once no dispatcher can enqueue a job; and the observation
-    /// log's tail syncs last.
+    /// order: the event loop (shards, then dispatchers, each finishing
+    /// the solve it started) first, and the observation log's tail syncs
+    /// last.
     pub fn run(self) -> io::Result<()> {
-        // A private done token, so solvers outlive everything that can
-        // enqueue jobs.
-        let solvers_done = Shutdown::new();
-        let solver_threads: Vec<_> = (0..self.solvers)
-            .map(|i| {
-                let app = Arc::clone(&self.app);
-                let done = Arc::clone(&solvers_done);
-                let batch_max = self.batch_max;
-                std::thread::Builder::new()
-                    .name(format!("serve-solver-{i}"))
-                    .spawn(move || solver_loop(&app.queue, &app.host.lqns, batch_max, &done))
-                    .expect("spawn solver thread")
-            })
-            .collect();
-        let served = self.reactor.run(Arc::clone(&self.app), &self.app.shutdown);
-        solvers_done.request();
-        for t in solver_threads {
-            let _ = t.join();
-        }
-        served?;
+        self.reactor
+            .run(Arc::clone(&self.app), &self.app.shutdown)?;
         self.app
             .store
             .sync()
@@ -143,11 +115,25 @@ mod tests {
             JobQueue::new(64),
             Shutdown::new(),
         );
-        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 2, 1, 8, 16).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 2).unwrap();
         let addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run().unwrap());
         (addr, shutdown, handle)
+    }
+
+    #[test]
+    fn bind_takes_the_dispatch_queue_from_the_app() {
+        let app = App::new(
+            ModelHost::paper(&CacheOptions::default()),
+            AdmissionController::new(RuntimeOptions::default()).unwrap(),
+            JobQueue::new(7),
+            Shutdown::new(),
+        );
+        let depth = Arc::clone(&app.queue.depth);
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 1, 1).unwrap();
+        assert_eq!(server.reactor.queue_depth, 7);
+        assert!(Arc::ptr_eq(&server.reactor.dispatch_depth, &depth));
     }
 
     #[test]

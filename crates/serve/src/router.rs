@@ -2,23 +2,19 @@
 
 use crate::admission::{AdmissionController, Verdict};
 use crate::arrivals::ArrivalMeter;
-use crate::batch::{Job, JobQueue};
+use crate::batch::JobQueue;
 use crate::http::{Request, Response};
 use crate::models::{Method, ModelHost};
 use crate::shutdown::Shutdown;
 use perfpred_cluster::ClusterState;
+use perfpred_core::faults::{self, FaultSite};
 use perfpred_core::metrics::names;
 use perfpred_core::workload::{ClassLoad, RequestType, ServiceClass};
 use perfpred_core::{metrics, Json, PredictError, Prediction, ServerArch, Workload};
 use perfpred_store::{Observation, ObservationStore, StoreError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// How long a dispatcher waits for the solver pool before giving
-/// up on a queued layered-queuing miss (an upper bound — a request
-/// deadline shortens the wait to its remaining budget).
-const SOLVER_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default per-request deadline budget when the request body does not
 /// carry a `deadline_ms` (overridable daemon-wide with `--deadline-ms`).
@@ -30,7 +26,8 @@ pub struct App {
     pub host: ModelHost,
     /// The §9 admission rule.
     pub admission: AdmissionController,
-    /// Queue feeding the layered-queuing solver pool.
+    /// The dispatch queue's bound and live depth (the reactor enforces
+    /// the bound and publishes the depth; `/healthz` reads it back).
     pub queue: Arc<JobQueue>,
     /// Observation intake: durable log + continuous refit + registry.
     pub store: Arc<ObservationStore>,
@@ -45,8 +42,6 @@ pub struct App {
     /// Reactor shard count (0 until `ReactorServer::bind` publishes it),
     /// for `/healthz`.
     pub reactor_shards: Arc<AtomicUsize>,
-    /// Live depth of the reactor's dispatch offload queue, for `/healthz`.
-    pub dispatch_depth: Arc<AtomicUsize>,
     /// Per-class arrival-rate EWMA, the control plane's load signal.
     pub arrivals: Arc<ArrivalMeter>,
     started: Instant,
@@ -152,7 +147,6 @@ impl App {
             deadline: DEFAULT_DEADLINE,
             cluster: None,
             reactor_shards: Arc::new(AtomicUsize::new(0)),
-            dispatch_depth: Arc::new(AtomicUsize::new(0)),
             arrivals: Arc::new(ArrivalMeter::new()),
             started: Instant::now(),
             routes: RouteMetrics::resolve(),
@@ -211,7 +205,7 @@ impl App {
     /// paths, and `/predict` answers that are cache hits or closed-form
     /// solves), `None` when the request must go to a dispatcher thread
     /// (`/observe` and `/plan` do real I/O or seconds-scale planning; an
-    /// lqns `/predict` miss queues a solve and waits on the reply).
+    /// lqns `/predict` miss runs a layered solve).
     pub fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response> {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/observe") | ("POST", "/plan") => None,
@@ -220,7 +214,7 @@ impl App {
         }
     }
 
-    /// Would this `/predict` wait on the solver pool? Only a
+    /// Would this `/predict` run a layered solve? Only a
     /// layered-queuing cache miss does; parse failures and closed-form
     /// methods answer inline. The parse here is redundant with
     /// [`App::handle_at`] (sub-µs for the bodies this endpoint takes) and
@@ -271,11 +265,7 @@ impl App {
             "reactor_shards",
             self.reactor_shards.load(Ordering::Relaxed) as u64,
         );
-        body.set(
-            "dispatch_queue_depth",
-            self.dispatch_depth.load(Ordering::Relaxed) as u64,
-        );
-        body.set("solver_queue_depth", self.queue.len() as u64);
+        body.set("dispatch_queue_depth", self.queue.depth() as u64);
         // Control-plane inputs: the live admission threshold and the
         // smoothed per-class arrival rates, so `perfpred-ctl` reads the
         // whole load picture from one scrape.
@@ -340,10 +330,8 @@ impl App {
         text.push_str("# TYPE serve_dispatch_queue_depth gauge\n");
         text.push_str(&format!(
             "serve_dispatch_queue_depth {}\n",
-            self.dispatch_depth.load(Ordering::Relaxed)
+            self.queue.depth()
         ));
-        text.push_str("# TYPE serve_solver_queue_depth gauge\n");
-        text.push_str(&format!("serve_solver_queue_depth {}\n", self.queue.len()));
         text.push_str("# TYPE serve_admission_threshold gauge\n");
         text.push_str(&format!(
             "serve_admission_threshold {}\n",
@@ -560,30 +548,27 @@ impl App {
                 )
             }
         };
-        // Degraded serving: when the solver pool cannot answer in budget
-        // (queue saturated, job shed, reply late), fall back to the
-        // cheapest model that still answers instead of failing the
-        // request. Admission below judges the fallback prediction exactly
-        // as it would a normal one.
+        // Degraded serving: when the request's budget ran out before its
+        // solve could start, fall back to the cheapest model that still
+        // answers instead of failing the request. Admission below judges
+        // the fallback prediction exactly as it would a normal one.
         let mut mode = "normal";
         let mut served_by = method.name();
         let prediction = match result {
             Ok(p) => p,
-            Err(e) if degradable(&e) => match self.degraded_fallback(&server, &workload) {
-                Some((p, by)) => {
-                    metrics::counter(names::SERVE_DEGRADED_TOTAL).incr();
-                    mode = "degraded";
-                    served_by = by;
-                    p
+            // Only the serving layer's own failure degrades; anything else
+            // (bad input, solver divergence) surfaces unchanged.
+            Err(e @ PredictError::DeadlineExpired(_)) => {
+                match self.degraded_fallback(&server, &workload) {
+                    Some((p, by)) => {
+                        metrics::counter(names::SERVE_DEGRADED_TOTAL).incr();
+                        mode = "degraded";
+                        served_by = by;
+                        p
+                    }
+                    None => return Response::error(504, &e.to_string()),
                 }
-                None => {
-                    let status = match e {
-                        PredictError::DeadlineExpired(_) => 504,
-                        _ => 503,
-                    };
-                    return Response::error(status, &e.to_string());
-                }
-            },
+            }
             Err(e) => return Response::error(400, &e.to_string()),
         };
 
@@ -620,8 +605,8 @@ impl App {
         Response::json(200, &out)
     }
 
-    /// The degraded-serving ladder, tried in cost order once the solver
-    /// pool has failed this request: (1) a cache entry another solver
+    /// The degraded-serving ladder, tried in cost order once this
+    /// request's budget has run out: (1) a cache entry another dispatcher
     /// published while this request waited, (2) the historical model —
     /// the paper's §4 method is a closed-form lookup that answers in
     /// microseconds from the same registry `/observe` refits feed — and
@@ -649,10 +634,12 @@ impl App {
         None
     }
 
-    /// The layered-queuing path: peek inline (the µs path the daemon's
-    /// throughput target rides on), queue misses to the solver pool —
-    /// except while draining, when dispatchers must not enqueue behind a pool
-    /// that is about to exit, so they solve inline instead.
+    /// The layered-queuing path: peek (the µs path the daemon's
+    /// throughput target rides on), then solve the miss right here on the
+    /// dispatcher through the cache's own miss path. The budget is checked
+    /// when the request reaches the dispatcher and again just before the
+    /// solve; an expired request is shed unsolved. A solve that has
+    /// started runs to completion and its exact answer is served.
     fn predict_lqns(
         &self,
         server: &ServerArch,
@@ -663,52 +650,29 @@ impl App {
         if let Some(found) = self.host.lqns.peek(server, workload) {
             return (found, true);
         }
-        if self.shutdown.requested() {
-            return (self.host.lqns.predict(server, workload), false);
+        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+        if !expired() {
+            // Chaos harness: stall the solve the way a CPU-starved or
+            // page-faulting host would, so deadline shedding and degraded
+            // fallback get exercised under test.
+            if let Some(delay) = faults::delay(FaultSite::SolverDelay) {
+                metrics::counter("serve.faults.solver_delay").incr();
+                std::thread::sleep(delay);
+            }
         }
-        let (reply, rx) = mpsc::channel();
-        let job = Job {
-            server: server.clone(),
-            workload: workload.clone(),
-            reply,
-            deadline,
-        };
-        if self.queue.push(job).is_err() {
+        if expired() {
+            metrics::counter(names::SERVE_DEADLINE_EXPIRED_TOTAL).incr();
             return (
-                Err(PredictError::Overloaded(
-                    "solver queue is full, retry later".into(),
+                Err(PredictError::DeadlineExpired(
+                    "shed before solving: queue wait exceeded the request budget".into(),
                 )),
                 false,
             );
         }
-        // Wait for the remaining budget, never longer than the pool's own
-        // reply bound. The solver sheds jobs whose deadline passed while
-        // queued; this arm covers the complementary case where the job is
-        // *being* solved (or still queued) when the budget runs out here.
-        let wait = match deadline {
-            Some(d) => d
-                .saturating_duration_since(Instant::now())
-                .min(SOLVER_REPLY_TIMEOUT),
-            None => SOLVER_REPLY_TIMEOUT,
-        };
-        match rx.recv_timeout(wait) {
-            Ok(result) => (result, false),
-            Err(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
-                metrics::counter(names::SERVE_DEADLINE_EXPIRED_TOTAL).incr();
-                (
-                    Err(PredictError::DeadlineExpired(
-                        "solver did not answer within the request budget".into(),
-                    )),
-                    false,
-                )
-            }
-            Err(_) => (
-                Err(PredictError::Overloaded(
-                    "solver pool did not answer in time".into(),
-                )),
-                false,
-            ),
-        }
+        let started = Instant::now();
+        let result = self.host.lqns.predict(server, workload);
+        metrics::histogram("serve.solve_ms").record(started.elapsed().as_secs_f64() * 1e3);
+        (result, false)
     }
 
     fn plan(&self, req: &Request) -> Response {
@@ -801,20 +765,10 @@ impl App {
     }
 }
 
-/// Errors the degraded-serving ladder may absorb: the serving layer
-/// failed the request, not the request itself. Anything else (bad input,
-/// solver divergence) must surface to the client unchanged.
-fn degradable(e: &PredictError) -> bool {
-    matches!(
-        e,
-        PredictError::Overloaded(_) | PredictError::DeadlineExpired(_)
-    )
-}
-
 /// Parses the optional `deadline_ms` body field into an absolute
 /// deadline anchored at `arrival`. Absent → the daemon default; `0` →
-/// deadlines off for this request (callers that prefer waiting the full
-/// solver timeout over a degraded answer).
+/// deadlines off for this request (callers that prefer waiting for the
+/// solve over a degraded answer).
 fn parse_deadline(
     body: &Json,
     default: Duration,
@@ -1022,8 +976,7 @@ fn prediction_json(p: &Prediction) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::solver_loop;
-    use perfpred_core::CacheOptions;
+    use perfpred_core::{CacheOptions, PerformanceModel};
     use perfpred_resman::RuntimeOptions;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
@@ -1042,14 +995,6 @@ mod tests {
             JobQueue::new(64),
             Shutdown::new(),
         )
-    }
-
-    /// Runs the solver inline until the queue drains (tests have no solver
-    /// threads, so lqns misses are pre-solved or drained explicitly).
-    fn drain(app: &App) {
-        let drained = Shutdown::new();
-        drained.request();
-        solver_loop(&app.queue, &app.host.lqns, 8, &drained);
     }
 
     fn body_json(r: &Response) -> Json {
@@ -1103,14 +1048,20 @@ mod tests {
         assert_eq!(mrt.to_bits(), mrt2.to_bits());
     }
 
+    fn mrt_of(r: &Response) -> f64 {
+        body_json(r)
+            .get("prediction")
+            .and_then(|p| p.get("mrt_ms"))
+            .and_then(Json::as_f64)
+            .unwrap()
+    }
+
     #[test]
     fn predict_lqns_drains_through_the_queue_and_hits_after() {
         let app = app();
+        let server = app.host.server("AppServVF").unwrap().clone();
         let body = r#"{"method": "lqns", "server": "AppServVF", "clients": 150}"#;
-        // No solver threads running: pre-solve by draining after pushing is
-        // impossible (push blocks on reply), so drive the shutdown-inline
-        // path instead, which memoizes like the solvers do.
-        app.shutdown.request();
+        // A miss is solved right here (the dispatcher's thread) and memoized.
         let first = app.handle(&request("POST", "/predict", body));
         assert_eq!(
             first.status,
@@ -1127,14 +1078,38 @@ mod tests {
             body_json(&second).get("cached").and_then(Json::as_bool),
             Some(true)
         );
-        drain(&app);
+        // Identical requests answer the same bits from one cache entry,
+        // and those bits are a fresh solve's.
+        let fresh = app
+            .host
+            .lqns
+            .inner()
+            .predict(&server, &Workload::typical(150))
+            .unwrap();
+        assert_eq!(mrt_of(&first).to_bits(), fresh.mrt_ms.to_bits());
+        assert_eq!(mrt_of(&second).to_bits(), fresh.mrt_ms.to_bits());
+        assert_eq!(app.host.lqns.len(), 1);
+
+        // A solve right after one at a different operating point on the
+        // same thread carries no warm-start state over: it equals a solve
+        // through a fresh workspace pool bit for bit.
+        let next = r#"{"method": "lqns", "server": "AppServVF", "clients": 900, "buy_pct": 20, "admission": false}"#;
+        let r = app.handle(&request("POST", "/predict", next));
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        let fresh = app
+            .host
+            .lqns
+            .inner()
+            .predict_with_pool(&server, &Workload::with_buy_pct(900, 20.0), &mut Vec::new())
+            .unwrap();
+        assert_eq!(mrt_of(&r).to_bits(), fresh.mrt_ms.to_bits());
+        assert_eq!(app.host.lqns.len(), 2);
     }
 
     #[test]
     fn admission_rejects_with_a_structured_503() {
         let app = app();
-        app.shutdown.request(); // inline lqns solves
-                                // 600 clients on the slow architecture blow a 150 ms goal.
+        // 900 clients on the slow architecture blow a 150 ms goal.
         let body = r#"{"method": "lqns", "server": "AppServS", "clients": 900, "goal_ms": 150}"#;
         let r = app.handle(&request("POST", "/predict", body));
         assert_eq!(r.status, 503, "{:?}", String::from_utf8_lossy(&r.body));
@@ -1228,7 +1203,6 @@ mod tests {
             j.get("dispatch_queue_depth").and_then(Json::as_u32),
             Some(0)
         );
-        assert_eq!(j.get("solver_queue_depth").and_then(Json::as_u32), Some(0));
     }
 
     #[test]
@@ -1335,64 +1309,86 @@ mod tests {
         )
     }
 
+    /// An arrival far enough back that a 1 ms budget has run out by the
+    /// time the request reaches the dispatcher.
+    fn late_arrival() -> Instant {
+        Instant::now() - Duration::from_millis(50)
+    }
+
     #[test]
     fn deadline_miss_degrades_to_the_historical_model_bit_for_bit() {
+        let _scope = metrics::Scope::new();
+        let guard = _scope.enter();
         let app = app();
-        // Calibrate the historical model through /observe first.
+        let body = r#"{"method": "lqns", "clients": 300, "deadline_ms": 1, "admission": false}"#;
+        let degraded = |by: &str| {
+            let r = app.handle_at(&request("POST", "/predict", body), late_arrival());
+            assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+            let j = body_json(&r);
+            assert_eq!(j.get("mode").and_then(Json::as_str), Some("degraded"));
+            assert_eq!(j.get("served_by").and_then(Json::as_str), Some(by));
+            mrt_of(&r)
+        };
+
+        // Before any /observe the historical model is not calibrated, so
+        // the hybrid rung answers — the same bits as a method=hybrid request.
+        let hybrid = degraded("hybrid");
+        let pure = app.handle(&request(
+            "POST",
+            "/predict",
+            r#"{"method": "hybrid", "clients": 300, "admission": false}"#,
+        ));
+        assert_eq!(hybrid.to_bits(), mrt_of(&pure).to_bits());
+
+        // Calibrate the historical model through /observe; now it answers.
         let r = app.handle(&request("POST", "/observe", &observe_batch(128, 1.0)));
         assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
-
-        // No solver threads run in this test, so an lqns miss with a 1 ms
-        // budget expires in the queue and must fall back.
-        let body = r#"{"method": "lqns", "clients": 300, "deadline_ms": 1, "admission": false}"#;
-        let r = app.handle(&request("POST", "/predict", body));
-        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
-        let j = body_json(&r);
-        assert_eq!(j.get("mode").and_then(Json::as_str), Some("degraded"));
-        assert_eq!(
-            j.get("served_by").and_then(Json::as_str),
-            Some("historical")
-        );
-        let degraded = j
-            .get("prediction")
-            .and_then(|p| p.get("mrt_ms"))
-            .and_then(Json::as_f64)
-            .unwrap();
+        let historical = degraded("historical");
 
         // The degraded answer and a pure method=historical request for
         // the same workload must be the same bits — the fallback serves
         // through the very cache the historical method uses.
         let (pure, _) = predict_historical_mrt(&app);
-        assert_eq!(degraded.to_bits(), pure.to_bits());
+        assert_eq!(historical.to_bits(), pure.to_bits());
+
+        // Both expired requests were shed unsolved, each counted once.
+        assert_eq!(app.host.lqns.len(), 0);
+        assert_eq!(
+            metrics::counter(names::SERVE_DEADLINE_EXPIRED_TOTAL).get(),
+            2
+        );
+        drop(guard);
     }
 
     #[test]
     fn saturated_queue_degrades_to_hybrid() {
-        let app = App::new(
-            ModelHost::paper(&CacheOptions::default()),
-            AdmissionController::new(RuntimeOptions::default()).unwrap(),
-            JobQueue::new(1),
-            Shutdown::new(),
-        );
-        // Fill the single queue slot so the next miss overflows.
-        let (tx, _rx) = mpsc::channel();
-        let server = app.host.server("AppServF").unwrap().clone();
-        assert!(app
-            .queue
-            .push(Job {
-                server,
-                workload: Workload::typical(5),
-                reply: tx,
-                deadline: None,
-            })
-            .is_ok());
-
-        let body = r#"{"method": "lqns", "clients": 400, "admission": false}"#;
-        let r = app.handle(&request("POST", "/predict", body));
-        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
-        let j = body_json(&r);
-        assert_eq!(j.get("mode").and_then(Json::as_str), Some("degraded"));
-        assert_eq!(j.get("served_by").and_then(Json::as_str), Some("hybrid"));
+        // Misses that waited behind a saturated dispatch queue reach the
+        // dispatcher with their budget spent: each one leaves the shard,
+        // is shed unsolved, and — before any /observe — the hybrid rung
+        // answers it with the bits a method=hybrid request gets.
+        let app = app();
+        for clients in [150u32, 300, 450] {
+            let body = format!(
+                r#"{{"method": "lqns", "clients": {clients}, "deadline_ms": 1, "admission": false}}"#
+            );
+            let req = request("POST", "/predict", &body);
+            assert!(
+                app.try_handle(&req, late_arrival()).is_none(),
+                "an lqns miss must queue for a dispatcher"
+            );
+            let r = app.handle_at(&req, late_arrival());
+            assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+            let j = body_json(&r);
+            assert_eq!(j.get("mode").and_then(Json::as_str), Some("degraded"));
+            assert_eq!(j.get("served_by").and_then(Json::as_str), Some("hybrid"));
+            let pure = app.handle(&request(
+                "POST",
+                "/predict",
+                &format!(r#"{{"method": "hybrid", "clients": {clients}, "admission": false}}"#),
+            ));
+            assert_eq!(mrt_of(&r).to_bits(), mrt_of(&pure).to_bits());
+        }
+        assert_eq!(app.host.lqns.len(), 0, "every expired miss was shed");
     }
 
     #[test]
@@ -1406,8 +1402,9 @@ mod tests {
             Shutdown::new(),
         );
         let body = r#"{"method": "lqns", "clients": 350, "deadline_ms": 1}"#;
-        let r = app.handle(&request("POST", "/predict", body));
+        let r = app.handle_at(&request("POST", "/predict", body), late_arrival());
         assert_eq!(r.status, 504, "{:?}", String::from_utf8_lossy(&r.body));
+        assert_eq!(app.host.lqns.len(), 0, "shed unsolved");
 
         // deadline_ms must be a non-negative number.
         let r = app.handle(&request(
@@ -1480,7 +1477,6 @@ mod tests {
     #[test]
     fn admin_threshold_hot_reloads_the_admission_rule() {
         let app = app();
-        app.shutdown.request(); // inline lqns solves
         assert_eq!(app.admission.threshold(), 0.05);
 
         // A workload that trips the default 5 % threshold ...
@@ -1532,7 +1528,6 @@ mod tests {
         // Wrong method answers 405 with Allow.
         let r = app.handle(&request("GET", "/admin/threshold", ""));
         assert_eq!((r.status, r.allow.as_deref()), (405, Some("POST")));
-        drain(&app);
     }
 
     #[test]
@@ -1562,7 +1557,6 @@ mod tests {
             "serve_arrival_rate_rps{class=\"browse\"}",
             "serve_arrival_rate_rps{class=\"buy\"}",
             "serve_dispatch_queue_depth 0",
-            "serve_solver_queue_depth 0",
             "serve_admission_threshold 0.05",
         ] {
             assert!(text.contains(line), "missing {line} in:\n{text}");

@@ -6,8 +6,8 @@
 //! byte-identically after a restart.
 //!
 //! This binary owns the whole process, so it installs the process-global
-//! fault plan up front; everything (event loop, solver pool, store)
-//! reads the same plan.
+//! fault plan up front; everything (event loop, solves, store) reads the
+//! same plan.
 
 #![cfg(target_os = "linux")]
 
@@ -17,6 +17,7 @@ use perfpred_core::{CacheOptions, Json};
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
+use perfpred_serve::http::Response;
 use perfpred_serve::router::App;
 use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
@@ -58,8 +59,8 @@ struct Daemon {
 impl Daemon {
     /// Starts a daemon over the durable store in `dir`, shaped like
     /// `main` wires it: paper models sharing the store's registry, a
-    /// deliberately shallow solver queue, and a tight default deadline so
-    /// injected solver delays actually blow budgets.
+    /// deliberately shallow dispatch queue, and a tight default deadline
+    /// so injected solver delays actually blow budgets.
     fn start(dir: &std::path::Path) -> Daemon {
         let servers = perfpred_bench::context::Experiments::servers();
         let (store, _report) =
@@ -74,7 +75,7 @@ impl Daemon {
             Arc::clone(&store),
         );
         app.deadline = Duration::from_millis(200);
-        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 8, 8).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4).unwrap();
         let addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         Daemon {
@@ -133,26 +134,28 @@ fn attempt(addr: SocketAddr, method: &str, path: &str, body: &str) -> Reply {
     {
         return Reply::Transport;
     }
-    let mut raw = Vec::new();
-    // A mid-stream reset after some bytes is still judged on what arrived:
-    // the server must never have emitted a non-HTTP prefix.
-    let _ = stream.read_to_end(&mut raw);
-    if raw.is_empty() {
+    // The first bytes are judged before framing, so a reset after some
+    // bytes still counts what arrived: the server must never have emitted
+    // anything but an HTTP/1.1 status line.
+    let mut buf = Vec::new();
+    let _ = (&mut stream).take(9).read_to_end(&mut buf);
+    if buf.is_empty() {
         return Reply::Transport;
     }
-    if !raw.starts_with(b"HTTP/1.1 ") {
-        return Reply::Malformed(String::from_utf8_lossy(&raw[..raw.len().min(120)]).into_owned());
+    let prefix = |buf: &[u8]| String::from_utf8_lossy(&buf[..buf.len().min(120)]).into_owned();
+    if !buf.starts_with(b"HTTP/1.1 ") {
+        return Reply::Malformed(prefix(&buf));
     }
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = match text.split_whitespace().nth(1).and_then(|s| s.parse().ok()) {
-        Some(s) => s,
-        None => return Reply::Malformed(text[..text.len().min(120)].to_string()),
-    };
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Reply::Http(status, body)
+    // The shared codec frames the rest from those buffered bytes on; a
+    // frame that started well but does not parse or ends early is
+    // malformed too.
+    match Response::read_from(&mut stream, &mut buf) {
+        Ok((resp, _)) => Reply::Http(
+            resp.status,
+            String::from_utf8_lossy(&resp.body).into_owned(),
+        ),
+        Err(e) => Reply::Malformed(format!("{e}: {}", prefix(&buf))),
+    }
 }
 
 /// Retries transport failures; returns the first real response, if any.
@@ -228,7 +231,7 @@ fn client_loop(addr: SocketAddr, t: usize) -> ClientTally {
             }
         } else {
             // Layered-queuing predictions; fresh client counts keep the
-            // solver pool busy, and a slice of them carry a budget so
+            // dispatchers solving, and a slice of them carry a budget so
             // tight an injected solver delay forces the degraded path.
             let clients = 50 + ((t * 31 + i * 7) % 400);
             let deadline = if i % 4 == 1 { 1 } else { 0 };
@@ -356,7 +359,7 @@ fn chaos_run_stays_available_wellformed_and_recovers_byte_identically() {
     let log_len = store.log_len().unwrap();
     assert!(version_before >= 1, "ingest volume must have refitted");
     // 5. Graceful drain: stop() joins run(), which hangs (and trips the
-    //    watchdog) if any shard, dispatcher or solver fails to exit.
+    //    watchdog) if any shard or dispatcher fails to exit.
     daemon.stop();
     drop(daemon);
     drop(store);

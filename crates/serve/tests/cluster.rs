@@ -24,10 +24,11 @@ use perfpred_core::{CacheOptions, Json};
 use perfpred_resman::RuntimeOptions;
 use perfpred_serve::admission::AdmissionController;
 use perfpred_serve::batch::JobQueue;
+use perfpred_serve::http::Response;
 use perfpred_serve::router::App;
 use perfpred_serve::{ModelHost, ReactorServer, Shutdown};
 use perfpred_store::{LogOptions, ObservationStore, RefitOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -103,7 +104,7 @@ impl Node {
             Arc::clone(&store),
         )
         .with_cluster(Arc::clone(&state));
-        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 8, 64).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4).unwrap();
         let http_addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let handle = thread::spawn(move || server.run().unwrap());
@@ -155,12 +156,11 @@ fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(
         body.len()
     )
     .ok()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text.split_whitespace().nth(1)?.parse().ok()?;
-    let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string())?;
-    Some((status, body))
+    let (resp, _) = Response::read_from(&mut stream, &mut Vec::new()).ok()?;
+    Some((
+        resp.status,
+        String::from_utf8_lossy(&resp.body).into_owned(),
+    ))
 }
 
 /// Calls `attempt` every `interval` until it yields a value or `timeout`

@@ -50,7 +50,7 @@ impl Drop for Running {
 }
 
 fn start_reactor_with(stall: Option<Duration>) -> Running {
-    let mut server = ReactorServer::bind("127.0.0.1", 0, make_app(), 2, 2, 1, 8, 64).unwrap();
+    let mut server = ReactorServer::bind("127.0.0.1", 0, make_app(), 2, 2).unwrap();
     if let Some(stall) = stall {
         server.set_stall_timeout(stall);
     }

@@ -26,10 +26,10 @@ impl Daemon {
         let app = App::new(
             ModelHost::paper(&cache),
             AdmissionController::new(RuntimeOptions::default()).unwrap(),
-            JobQueue::new(256),
+            JobQueue::new(64),
             Shutdown::new(),
         );
-        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4, 2, 16, 64).unwrap();
+        let server = ReactorServer::bind("127.0.0.1", 0, app, 2, 4).unwrap();
         let addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let handle = thread::spawn(move || server.run().unwrap());
@@ -75,7 +75,7 @@ fn healthz_predict_plan_and_metrics_over_the_wire() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(json(&body).get("status").and_then(Json::as_str), Some("ok"));
 
-    // An lqns predict goes through the real solver pool.
+    // An lqns miss is offloaded to a dispatcher, which solves it.
     let (status, body) = call(
         d.addr,
         "POST",
