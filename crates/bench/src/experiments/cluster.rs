@@ -3,7 +3,7 @@
 //! was the historical model itself).
 //!
 //! The hybrid model plans an allocation for a 4-server tier (2×AppServS,
-//! AppServF, AppServVF) sharing one database; the *cluster simulator* then
+//! AppServF, AppServVF) sharing one database; the simulator then
 //! runs the allocated clients and we check, per class, whether the SLA
 //! goals actually hold. The shared database — which every per-server
 //! prediction method quietly assumes away — is also measured, and the
@@ -14,7 +14,7 @@ use crate::Experiments;
 use perfpred_core::{PerformanceModel, ServerArch, Workload};
 use perfpred_resman::algorithm::allocate;
 use perfpred_resman::scenario::paper_workload;
-use perfpred_tradesim::cluster::ClusterSim;
+use perfpred_tradesim::TradeSim;
 use std::fmt::Write as _;
 
 fn tier() -> Vec<ServerArch> {
@@ -50,7 +50,7 @@ pub fn run(ctx: &Experiments) -> String {
         let assignments: Vec<Workload> = (0..servers.len())
             .map(|si| alloc.server_workload(&template, si))
             .collect();
-        let sim = ClusterSim::new(&ctx.gt, &servers, &assignments, 1.0, &ctx.sim).run();
+        let sim = TradeSim::tier(&ctx.gt, &servers, &assignments, 1.0, &ctx.sim).run();
 
         let _ = writeln!(
             out,

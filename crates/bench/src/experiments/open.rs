@@ -92,7 +92,7 @@ pub fn run(ctx: &Experiments) -> String {
             f(measured_mrt, 1),
             f(lq_mrt, 1),
             f(measured_rps, 1),
-            f(sim.app_cpu_utilization, 2),
+            f(sim.app_cpu_utilization[0], 2),
             f(sol.processor_utilization[app.0], 2),
         ]);
         rep.push(lq_mrt, measured_mrt);

@@ -9,8 +9,9 @@ use perfpred_bench::{runner, Experiments};
 /// A representative subset: `table1` drives simulator measurement
 /// campaigns (parallel sweeps inside a scheduled experiment), `table2`
 /// the LQN calibration and solver, `open` the mixed open/closed solver
-/// against simulated open traffic.
-const IDS: [&str; 3] = ["table1", "table2", "open"];
+/// against simulated open traffic, `cluster` a multi-server tier run of
+/// a resource-manager allocation.
+const IDS: [&str; 4] = ["table1", "table2", "open", "cluster"];
 
 fn reports(jobs: usize) -> Vec<(String, String)> {
     // A fresh context per run: nothing carries over, not even lazy

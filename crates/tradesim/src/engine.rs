@@ -1,8 +1,11 @@
-//! The event-driven simulation core.
+//! The event-driven simulation core: the paper's §2 system model (fig 1).
 //!
-//! One [`TradeSim`] models one application server and its database server —
-//! matching the paper's measurement setup of one benchmarking client per
-//! server (§4.2). The request path is:
+//! One [`TradeSim`] models a *tier* of heterogeneous application servers in
+//! front of **one** database server, with clients statically routed to
+//! servers by the workload manager's division of the workload
+//! ([`TradeSim::tier`]). The paper's calibration setup — one benchmarking
+//! client per server (§4.2), measuring one (app server, DB) pair — is a tier
+//! of one ([`TradeSim::new`]). The request path is:
 //!
 //! ```text
 //! client think (exp) → infrastructure latency → app thread pool (50, FIFO)
@@ -15,6 +18,13 @@
 //! synchronous rendezvous the layered queuing model captures — while the
 //! infrastructure latency and db network time consume no CPU, which is what
 //! the LQN's utilisation-based calibration cannot see.
+//!
+//! Each application server has its own thread pool, CPU and session cache.
+//! "The database server has one FIFO queue per application server": a db
+//! call waits in its own server's queue, and freed connections are handed
+//! out round-robin across the queues. The database processes
+//! `db_connections` calls concurrently by time-sharing its CPU, and its
+//! disk serves one request at a time.
 
 use crate::cache::{Access, SessionCache};
 use crate::config::{GroundTruth, SimOptions};
@@ -23,19 +33,24 @@ use crate::slot::SlotPool;
 use perfpred_core::{metrics, ClassLoad, RequestType, ServerArch, Workload};
 use perfpred_desim::queue::EventHandle;
 use perfpred_desim::{EventQueue, FifoStation, PsStation, SimRng, Welford};
+use std::collections::VecDeque;
 
 /// Raw statistics from one run.
 #[derive(Debug, Clone)]
 pub struct RawRunResult {
-    /// Per-service-class statistics, in workload class order.
+    /// Tier-wide per-service-class statistics, in workload class order.
     pub per_class: Vec<ClassRaw>,
-    /// Application-server CPU utilisation over the measurement window.
-    pub app_cpu_utilization: f64,
+    /// Per-class statistics per application server:
+    /// `per_server_class[server][class]`. Raw samples are kept tier-wide
+    /// only, in `per_class`.
+    pub per_server_class: Vec<Vec<ClassRaw>>,
+    /// CPU utilisation per application server over the measurement window.
+    pub app_cpu_utilization: Vec<f64>,
     /// Database-server CPU utilisation over the measurement window.
     pub db_cpu_utilization: f64,
     /// Database-disk utilisation over the measurement window.
     pub disk_utilization: f64,
-    /// Session-cache miss ratio, when the cache is enabled.
+    /// Tier-wide session-cache miss ratio, when the cache is enabled.
     pub cache_miss_ratio: Option<f64>,
     /// Length of the measurement window, ms.
     pub measure_ms: f64,
@@ -52,6 +67,16 @@ pub struct ClassRaw {
     pub completed: u64,
 }
 
+impl ClassRaw {
+    fn empty() -> Self {
+        ClassRaw {
+            rt: Welford::new(),
+            samples: Vec::new(),
+            completed: 0,
+        }
+    }
+}
+
 /// Marker client id for open (Poisson) requests, which have no think loop.
 const OPEN_CLIENT: usize = usize::MAX;
 
@@ -64,8 +89,8 @@ enum Ev {
     OpenIssue(usize),
     /// A request's inbound infrastructure latency elapsed.
     ArriveApp(usize),
-    /// App-CPU completion probe.
-    AppCpu,
+    /// App-CPU completion probe of the given server.
+    AppCpu(usize),
     /// A request's database-call network latency elapsed.
     DbArrive(usize),
     /// DB-CPU completion probe.
@@ -78,6 +103,7 @@ enum Ev {
 
 struct Client {
     class_idx: usize,
+    server_idx: usize,
     session: Option<BuySession>,
     session_bytes: u64,
 }
@@ -85,12 +111,71 @@ struct Client {
 struct Request {
     client: usize,
     class_idx: usize,
+    server_idx: usize,
     priority: u32,
     db_calls_left: u32,
     slice_work: f64,
     db_demand_mean: f64,
     pending_session_read: bool,
     issued_at: f64,
+}
+
+/// One application server of the tier.
+struct AppServer {
+    threads: SlotPool<usize>,
+    cpu: PsStation<usize>,
+    cpu_ev: Option<EventHandle>,
+    busy_at_warmup: f64,
+    cache: Option<SessionCache>,
+    /// This server's per-class statistics (no raw samples).
+    stats: Vec<ClassRaw>,
+}
+
+/// The database front: one FIFO queue per application server, a shared
+/// connection pool, round-robin admission across the queues. With one
+/// queue it is a plain FIFO pool.
+struct DbFront {
+    queues: Vec<VecDeque<usize>>,
+    in_use: usize,
+    limit: usize,
+    rr: usize,
+}
+
+impl DbFront {
+    fn new(servers: usize, limit: usize) -> Self {
+        DbFront {
+            queues: (0..servers).map(|_| VecDeque::new()).collect(),
+            in_use: 0,
+            limit,
+            rr: 0,
+        }
+    }
+
+    /// Tries to take a connection for a request from `server_idx`.
+    fn acquire(&mut self, server_idx: usize, req: usize) -> bool {
+        if self.in_use < self.limit {
+            self.in_use += 1;
+            true
+        } else {
+            self.queues[server_idx].push_back(req);
+            false
+        }
+    }
+
+    /// Releases a connection, admitting the next waiter round-robin across
+    /// the per-server queues.
+    fn release(&mut self) -> Option<usize> {
+        let n = self.queues.len();
+        for i in 0..n {
+            let q = (self.rr + i) % n;
+            if let Some(req) = self.queues[q].pop_front() {
+                self.rr = (q + 1) % n;
+                return Some(req); // connection passes on
+            }
+        }
+        self.in_use -= 1;
+        None
+    }
 }
 
 /// Rough upper bound on completions one class can record in the
@@ -102,15 +187,15 @@ fn estimated_completions(opts: &SimOptions, load: &ClassLoad) -> usize {
     ((cycles_per_client * f64::from(load.clients)) as usize).min(1 << 20)
 }
 
-/// The simulator. Build with [`TradeSim::new`], execute with
-/// [`TradeSim::run`].
+/// The simulator. Build with [`TradeSim::new`] (one server) or
+/// [`TradeSim::tier`], execute with [`TradeSim::run`].
 ///
-/// Borrows the server description for its whole life — constructing a
+/// Borrows the server descriptions for its whole life — constructing a
 /// simulator allocates no `ServerArch` clone (the name string made every
 /// sweep cell pay a heap allocation per run).
 pub struct TradeSim<'a> {
     gt: GroundTruth,
-    server: &'a ServerArch,
+    servers: &'a [ServerArch],
     opts: SimOptions,
     ops: OpTable,
 
@@ -130,95 +215,130 @@ pub struct TradeSim<'a> {
     requests: Vec<Option<Request>>,
     free_requests: Vec<usize>,
 
-    app_threads: SlotPool<usize>,
-    app_cpu: PsStation<usize>,
-    app_cpu_ev: Option<EventHandle>,
-    db_slots: SlotPool<usize>,
+    apps: Vec<AppServer>,
+    db_front: DbFront,
     db_cpu: PsStation<usize>,
     db_cpu_ev: Option<EventHandle>,
     disk: FifoStation<usize>,
     disk_ev: Option<EventHandle>,
-    cache: Option<SessionCache>,
 
-    /// Open Poisson sources: (combined class index, rate per ms, type).
-    open_sources: Vec<(usize, f64, RequestType)>,
-    stats: Vec<ClassRaw>,
-    app_busy_at_warmup: f64,
+    /// Open Poisson sources: (combined class index, rate per ms).
+    open_sources: Vec<(usize, f64)>,
+    /// Tier-wide raw response-time samples per class (`store_samples`).
+    samples: Vec<Vec<f64>>,
     db_busy_at_warmup: f64,
     disk_busy_at_warmup: f64,
 }
 
 impl<'a> TradeSim<'a> {
-    /// Builds a simulator for `workload` on `server` with ground truth `gt`.
+    /// Builds a simulator for `workload` on one `server` (and the database
+    /// server) with ground truth `gt` — the paper's calibration setup.
     pub fn new(
         gt: &GroundTruth,
         server: &'a ServerArch,
         workload: &Workload,
         opts: &SimOptions,
     ) -> Self {
+        Self::tier(
+            gt,
+            std::slice::from_ref(server),
+            std::slice::from_ref(workload),
+            1.0,
+            opts,
+        )
+    }
+
+    /// Builds a tier over `assignments`: one workload per application
+    /// server (all sharing the same class list), typically a
+    /// resource-manager allocation (`Allocation::server_workload`).
+    /// `db_speed` scales the shared database CPU (1.0 = the case-study
+    /// Athlon; a tier of many application servers can out-scale one
+    /// database — raise it to model a beefier DB host).
+    pub fn tier(
+        gt: &GroundTruth,
+        servers: &'a [ServerArch],
+        assignments: &[Workload],
+        db_speed: f64,
+        opts: &SimOptions,
+    ) -> Self {
+        assert_eq!(servers.len(), assignments.len(), "one workload per server");
+        assert!(!servers.is_empty(), "a tier needs at least one server");
+        assert!(db_speed > 0.0, "db_speed must be positive");
+        let classes = &assignments[0].classes;
+        for w in assignments {
+            assert_eq!(
+                w.classes.len(),
+                classes.len(),
+                "uniform class lists across servers"
+            );
+        }
         let root = SimRng::seed_from(opts.seed);
         let ops = OpTable::new(gt.browse_app_demand_ms, gt.buy_app_demand_ms);
         let mut rng_cache = root.derive(8);
 
         let mut clients = Vec::new();
-        let mut class_think_ms = Vec::new();
-        for (ci, load) in workload.classes.iter().enumerate() {
-            class_think_ms.push(load.class.think_time_ms);
-            for _ in 0..load.clients {
-                let session = match load.class.request_type {
-                    RequestType::Browse => None,
-                    RequestType::Buy => Some(BuySession::start()),
-                };
-                let session_bytes = match &opts.cache {
-                    Some(c) => rng_cache
-                        .lognormal_mean_cv(c.mean_session_bytes, c.session_cv)
-                        .max(1.0) as u64,
-                    None => 0,
-                };
-                clients.push(Client {
-                    class_idx: ci,
-                    session,
-                    session_bytes,
-                });
+        for (si, w) in assignments.iter().enumerate() {
+            for (ci, load) in w.classes.iter().enumerate() {
+                for _ in 0..load.clients {
+                    let session = match load.class.request_type {
+                        RequestType::Browse => None,
+                        RequestType::Buy => Some(BuySession::start()),
+                    };
+                    let session_bytes = match &opts.cache {
+                        Some(c) => rng_cache
+                            .lognormal_mean_cv(c.mean_session_bytes, c.session_cv)
+                            .max(1.0) as u64,
+                        None => 0,
+                    };
+                    clients.push(Client {
+                        class_idx: ci,
+                        server_idx: si,
+                        session,
+                        session_bytes,
+                    });
+                }
             }
         }
 
         // Priority = rank by response-time goal (tightest first); classes
         // without goals rank last, ties keep workload order.
-        let mut order: Vec<usize> = (0..workload.classes.len()).collect();
+        let mut order: Vec<usize> = (0..classes.len()).collect();
         order.sort_by(|&a, &b| {
-            let ga = workload.classes[a]
-                .class
-                .rt_goal_ms
-                .unwrap_or(f64::INFINITY);
-            let gb = workload.classes[b]
-                .class
-                .rt_goal_ms
-                .unwrap_or(f64::INFINITY);
+            let ga = classes[a].class.rt_goal_ms.unwrap_or(f64::INFINITY);
+            let gb = classes[b].class.rt_goal_ms.unwrap_or(f64::INFINITY);
             // total_cmp: goals come from user configuration; a NaN goal
             // must sort deterministically, not panic the engine.
             ga.total_cmp(&gb).then(a.cmp(&b))
         });
-        let mut class_priority = vec![0u32; workload.classes.len()];
+        let mut class_priority = vec![0u32; classes.len()];
         for (rank, &ci) in order.iter().enumerate() {
             class_priority[ci] = rank as u32;
         }
 
-        let cache = opts
-            .cache
-            .as_ref()
-            .map(|c| SessionCache::new(c.capacity_for(server)));
-        let stats = workload
-            .classes
+        let apps = servers
             .iter()
-            .map(|load| ClassRaw {
-                rt: Welford::new(),
-                samples: Vec::with_capacity(if opts.store_samples {
-                    estimated_completions(opts, load)
+            .map(|arch| AppServer {
+                threads: SlotPool::new(gt.app_threads as usize),
+                cpu: PsStation::new(arch.speed_factor, usize::MAX),
+                cpu_ev: None,
+                busy_at_warmup: 0.0,
+                cache: opts
+                    .cache
+                    .as_ref()
+                    .map(|c| SessionCache::new(c.capacity_for(arch))),
+                stats: classes.iter().map(|_| ClassRaw::empty()).collect(),
+            })
+            .collect();
+        let samples = (0..classes.len())
+            .map(|ci| {
+                Vec::with_capacity(if opts.store_samples {
+                    assignments
+                        .iter()
+                        .map(|w| estimated_completions(opts, &w.classes[ci]))
+                        .sum()
                 } else {
                     0
-                }),
-                completed: 0,
+                })
             })
             .collect();
 
@@ -229,7 +349,7 @@ impl<'a> TradeSim<'a> {
 
         TradeSim {
             gt: *gt,
-            server,
+            servers,
             opts: *opts,
             ops,
             queue: EventQueue::new(),
@@ -240,22 +360,18 @@ impl<'a> TradeSim<'a> {
             rng_db: root.derive(6),
             rng_disk: root.derive(7),
             clients,
-            class_think_ms,
+            class_think_ms: classes.iter().map(|l| l.class.think_time_ms).collect(),
             class_priority,
             requests: Vec::with_capacity(request_cap),
             free_requests: Vec::with_capacity(request_cap),
-            app_threads: SlotPool::new(gt.app_threads as usize),
-            app_cpu: PsStation::new(server.speed_factor, usize::MAX),
-            app_cpu_ev: None,
-            db_slots: SlotPool::new(gt.db_connections as usize),
-            db_cpu: PsStation::new(1.0, usize::MAX),
+            apps,
+            db_front: DbFront::new(servers.len(), gt.db_connections as usize),
+            db_cpu: PsStation::new(db_speed, usize::MAX),
             db_cpu_ev: None,
             disk: FifoStation::new(1.0),
             disk_ev: None,
-            cache,
             open_sources: Vec::new(),
-            stats,
-            app_busy_at_warmup: 0.0,
+            samples,
             db_busy_at_warmup: 0.0,
             disk_busy_at_warmup: 0.0,
         }
@@ -264,7 +380,8 @@ impl<'a> TradeSim<'a> {
     /// Adds an open (Poisson) traffic source of `rate_rps` browse-mix
     /// requests per second — §8.1's "clients sending requests at a
     /// constant rate". Only browse traffic is supported open (the buy flow
-    /// is a stateful session and needs a closed client).
+    /// is a stateful session and needs a closed client), and only on a
+    /// tier of one.
     pub fn with_open_traffic(mut self, class: perfpred_core::ServiceClass, rate_rps: f64) -> Self {
         assert!(rate_rps > 0.0, "open rate must be positive");
         assert_eq!(
@@ -272,16 +389,13 @@ impl<'a> TradeSim<'a> {
             RequestType::Browse,
             "open traffic supports browse requests only"
         );
+        assert_eq!(self.apps.len(), 1, "open traffic needs a tier of one");
         self.class_think_ms.push(class.think_time_ms);
         self.class_priority.push(u32::MAX);
-        self.stats.push(ClassRaw {
-            rt: Welford::new(),
-            samples: Vec::new(),
-            completed: 0,
-        });
-        let idx = self.stats.len() - 1;
-        self.open_sources
-            .push((idx, rate_rps / 1_000.0, class.request_type));
+        self.apps[0].stats.push(ClassRaw::empty());
+        self.samples.push(Vec::new());
+        let idx = self.samples.len() - 1;
+        self.open_sources.push((idx, rate_rps / 1_000.0));
         self
     }
 
@@ -304,13 +418,14 @@ impl<'a> TradeSim<'a> {
         req
     }
 
-    fn resched_app(&mut self, now: f64) {
-        if let Some(h) = self.app_cpu_ev.take() {
+    fn resched_app(&mut self, now: f64, si: usize) {
+        let app = &mut self.apps[si];
+        if let Some(h) = app.cpu_ev.take() {
             self.queue.cancel(h);
         }
-        self.app_cpu.advance_to(now);
-        if let Some(t) = self.app_cpu.next_completion() {
-            self.app_cpu_ev = Some(self.queue.schedule(t.max(now), Ev::AppCpu));
+        app.cpu.advance_to(now);
+        if let Some(t) = app.cpu.next_completion() {
+            app.cpu_ev = Some(self.queue.schedule(t.max(now), Ev::AppCpu(si)));
         }
     }
 
@@ -333,11 +448,15 @@ impl<'a> TradeSim<'a> {
         }
     }
 
-    /// A client issues its next request (samples the operation, demand and
-    /// call count, then pays the inbound infrastructure latency).
+    /// A client issues its next request.
     fn issue(&mut self, now: f64, client_id: usize) {
-        let class_idx = self.clients[client_id].class_idx;
-        let op: Op = match self.clients[client_id].session {
+        let Client {
+            class_idx,
+            server_idx,
+            session,
+            ..
+        } = self.clients[client_id];
+        let op = match session {
             None => self.ops.sample_browse(&mut self.rng_ops),
             Some(session) => {
                 let (op, next) = session.next(&mut self.rng_ops);
@@ -345,6 +464,23 @@ impl<'a> TradeSim<'a> {
                 op
             }
         };
+        self.dispatch(now, op, client_id, class_idx, server_idx);
+    }
+
+    /// An open source fires: schedule its next arrival and issue a browse
+    /// request to the tier's one server.
+    fn issue_open(&mut self, now: f64, source_idx: usize) {
+        let (class_idx, rate_per_ms) = self.open_sources[source_idx];
+        // Next Poisson arrival.
+        let gap = self.rng_think.exp(1.0 / rate_per_ms);
+        self.queue.schedule(now + gap, Ev::OpenIssue(source_idx));
+        let op = self.ops.sample_browse(&mut self.rng_ops);
+        self.dispatch(now, op, OPEN_CLIENT, class_idx, 0);
+    }
+
+    /// Samples `op`'s demand and call count, then sends the request on its
+    /// inbound infrastructure latency.
+    fn dispatch(&mut self, now: f64, op: Op, client: usize, class_idx: usize, server_idx: usize) {
         let demand = self.rng_service.exp(self.ops.demand_ms(op));
         let mean_calls = self.ops.db_calls(op);
         let mut calls = mean_calls.floor() as u32;
@@ -355,60 +491,36 @@ impl<'a> TradeSim<'a> {
             RequestType::Browse => self.gt.browse_db_demand_ms,
             RequestType::Buy => self.gt.buy_db_demand_ms,
         };
-        let slice_work = demand / f64::from(calls + 1);
         let id = self.alloc_request(Request {
-            client: client_id,
+            client,
             class_idx,
+            server_idx,
             priority: self.class_priority[class_idx],
             db_calls_left: calls,
-            slice_work,
+            slice_work: demand / f64::from(calls + 1),
             db_demand_mean,
             pending_session_read: false,
             issued_at: now,
         });
-        let infra = self.rng_infra.exp(self.gt.infra_latency_for(self.server));
+        let infra = self
+            .rng_infra
+            .exp(self.gt.infra_latency_for(&self.servers[server_idx]));
         self.queue.schedule(now + infra, Ev::ArriveApp(id));
     }
 
-    /// An open source fires: build a browse request and schedule the next
-    /// arrival.
-    fn issue_open(&mut self, now: f64, source_idx: usize) {
-        let (class_idx, rate_per_ms, _) = self.open_sources[source_idx];
-        // Next Poisson arrival.
-        let gap = self.rng_think.exp(1.0 / rate_per_ms);
-        self.queue.schedule(now + gap, Ev::OpenIssue(source_idx));
-
-        let op = self.ops.sample_browse(&mut self.rng_ops);
-        let demand = self.rng_service.exp(self.ops.demand_ms(op));
-        let mean_calls = self.ops.db_calls(op);
-        let mut calls = mean_calls.floor() as u32;
-        if self.rng_service.chance(mean_calls.fract()) {
-            calls += 1;
-        }
-        let slice_work = demand / f64::from(calls + 1);
-        let id = self.alloc_request(Request {
-            client: OPEN_CLIENT,
-            class_idx,
-            priority: self.class_priority[class_idx],
-            db_calls_left: calls,
-            slice_work,
-            db_demand_mean: self.gt.browse_db_demand_ms,
-            pending_session_read: false,
-            issued_at: now,
-        });
-        let infra = self.rng_infra.exp(self.gt.infra_latency_for(self.server));
-        self.queue.schedule(now + infra, Ev::ArriveApp(id));
-    }
-
-    /// A request reaches the application server and tries to take a thread
+    /// A request reaches its application server and tries to take a thread
     /// (FIFO admission, or by class priority when configured — §8.1).
     fn arrive_app(&mut self, now: f64, id: usize) {
+        let req = self.requests[id].as_ref().expect("live request");
         let priority = if self.opts.priority_admission {
-            self.requests[id].as_ref().expect("live request").priority
+            req.priority
         } else {
             0
         };
-        if self.app_threads.acquire_with_priority(id, priority) {
+        if self.apps[req.server_idx]
+            .threads
+            .acquire_with_priority(id, priority)
+        {
             self.start_on_app(now, id);
         }
         // Otherwise the request waits in the pool's queue; `release` will
@@ -418,56 +530,57 @@ impl<'a> TradeSim<'a> {
     /// A request holds an app thread: consult the session cache, then start
     /// its first CPU slice.
     fn start_on_app(&mut self, now: f64, id: usize) {
-        let client = self.requests[id].as_ref().expect("live request").client;
-        if client == OPEN_CLIENT {
-            let work = self.requests[id].as_ref().expect("live request").slice_work;
-            self.app_cpu.arrive(now, id, work.max(1e-9));
-            self.resched_app(now);
-            return;
-        }
-        if let Some(cache) = &mut self.cache {
-            let bytes = self.clients[client].session_bytes;
-            if cache.access(client as u64, bytes) == Access::Miss {
-                // Extra database call to read the session back (§7.2); the
-                // CPU slices were already sized, so the session read rides
-                // in front of the first slice's db call.
-                let req = self.requests[id].as_mut().expect("live request");
-                req.db_calls_left += 1;
-                req.pending_session_read = true;
+        let req = self.requests[id].as_mut().expect("live request");
+        if req.client != OPEN_CLIENT {
+            if let Some(cache) = &mut self.apps[req.server_idx].cache {
+                let bytes = self.clients[req.client].session_bytes;
+                if cache.access(req.client as u64, bytes) == Access::Miss {
+                    // Extra database call to read the session back (§7.2);
+                    // the CPU slices were already sized, so the session read
+                    // rides in front of the first slice's db call.
+                    req.db_calls_left += 1;
+                    req.pending_session_read = true;
+                }
             }
         }
-        let work = self.requests[id].as_ref().expect("live request").slice_work;
-        self.app_cpu.arrive(now, id, work.max(1e-9));
-        self.resched_app(now);
+        self.start_slice(now, id);
+    }
+
+    /// Puts a request's next CPU slice on its application server.
+    fn start_slice(&mut self, now: f64, id: usize) {
+        let req = self.requests[id].as_ref().expect("live request");
+        let (si, work) = (req.server_idx, req.slice_work);
+        self.apps[si].cpu.arrive(now, id, work.max(1e-9));
+        self.resched_app(now, si);
     }
 
     /// An app CPU slice completed.
     fn on_slice_done(&mut self, now: f64, id: usize) {
-        let (calls_left, class_idx, client, issued_at) = {
-            let req = self.requests[id].as_ref().expect("live request");
-            (req.db_calls_left, req.class_idx, req.client, req.issued_at)
-        };
-        if calls_left > 0 {
-            self.requests[id]
-                .as_mut()
-                .expect("live request")
-                .db_calls_left -= 1;
+        let req = self.requests[id].as_mut().expect("live request");
+        if req.db_calls_left > 0 {
+            req.db_calls_left -= 1;
             let net = self.rng_db.exp(self.gt.db_net_ms);
             self.queue.schedule(now + net, Ev::DbArrive(id));
             return;
         }
         // Final slice: the response is complete.
-        self.free_request(id);
-        if let Some(waiter) = self.app_threads.release() {
+        let Request {
+            client,
+            class_idx,
+            server_idx,
+            issued_at,
+            ..
+        } = self.free_request(id);
+        if let Some(waiter) = self.apps[server_idx].threads.release() {
             self.start_on_app(now, waiter);
         }
         if now >= self.opts.warmup_ms && now <= self.opts.end_ms() {
             let rt = now - issued_at;
-            let s = &mut self.stats[class_idx];
+            let s = &mut self.apps[server_idx].stats[class_idx];
             s.rt.push(rt);
             s.completed += 1;
             if self.opts.store_samples {
-                s.samples.push(rt);
+                self.samples[class_idx].push(rt);
             }
         }
         if client != OPEN_CLIENT {
@@ -476,26 +589,26 @@ impl<'a> TradeSim<'a> {
         }
     }
 
-    /// A database call arrives at the database server.
+    /// A database call arrives at the database server and queues behind its
+    /// own server's earlier calls.
     fn db_arrive(&mut self, now: f64, id: usize) {
-        if self.db_slots.acquire(id) {
+        let si = self.requests[id].as_ref().expect("live request").server_idx;
+        if self.db_front.acquire(si, id) {
             self.enter_db_cpu(now, id);
         }
     }
 
     fn enter_db_cpu(&mut self, now: f64, id: usize) {
-        let demand_mean = {
-            let req = self.requests[id].as_mut().expect("live request");
-            if req.pending_session_read {
-                req.pending_session_read = false;
-                self.opts
-                    .cache
-                    .as_ref()
-                    .map(|c| c.session_read_db_ms)
-                    .unwrap_or(req.db_demand_mean)
-            } else {
-                req.db_demand_mean
-            }
+        let req = self.requests[id].as_mut().expect("live request");
+        let demand_mean = if req.pending_session_read {
+            req.pending_session_read = false;
+            self.opts
+                .cache
+                .as_ref()
+                .map(|c| c.session_read_db_ms)
+                .unwrap_or(req.db_demand_mean)
+        } else {
+            req.db_demand_mean
         };
         let work = self.rng_db.exp(demand_mean);
         self.db_cpu.arrive(now, id, work.max(1e-9));
@@ -516,12 +629,10 @@ impl<'a> TradeSim<'a> {
     /// A database call finished: free the connection, resume the request's
     /// next application CPU slice.
     fn db_call_complete(&mut self, now: f64, id: usize) {
-        if let Some(waiter) = self.db_slots.release() {
+        if let Some(waiter) = self.db_front.release() {
             self.enter_db_cpu(now, waiter);
         }
-        let work = self.requests[id].as_ref().expect("live request").slice_work;
-        self.app_cpu.arrive(now, id, work.max(1e-9));
-        self.resched_app(now);
+        self.start_slice(now, id);
     }
 
     /// Runs the simulation to completion and returns the raw statistics.
@@ -554,13 +665,13 @@ impl<'a> TradeSim<'a> {
                 Ev::Issue(c) => self.issue(t, c),
                 Ev::OpenIssue(i) => self.issue_open(t, i),
                 Ev::ArriveApp(id) => self.arrive_app(t, id),
-                Ev::AppCpu => {
-                    self.app_cpu_ev = None;
-                    let done = self.app_cpu.pop_completed(t);
+                Ev::AppCpu(si) => {
+                    self.apps[si].cpu_ev = None;
+                    let done = self.apps[si].cpu.pop_completed(t);
                     for id in done {
                         self.on_slice_done(t, id);
                     }
-                    self.resched_app(t);
+                    self.resched_app(t, si);
                 }
                 Ev::DbArrive(id) => self.db_arrive(t, id),
                 Ev::DbCpu => {
@@ -579,9 +690,11 @@ impl<'a> TradeSim<'a> {
                     self.resched_disk(t);
                 }
                 Ev::Warmup => {
-                    self.app_cpu.advance_to(t);
+                    for app in &mut self.apps {
+                        app.cpu.advance_to(t);
+                        app.busy_at_warmup = app.cpu.metrics().busy_time_ms;
+                    }
                     self.db_cpu.advance_to(t);
-                    self.app_busy_at_warmup = self.app_cpu.metrics().busy_time_ms;
                     self.db_busy_at_warmup = self.db_cpu.metrics().busy_time_ms;
                     self.disk_busy_at_warmup = self.disk.metrics().busy_time_ms;
                 }
@@ -595,19 +708,58 @@ impl<'a> TradeSim<'a> {
             metrics::histogram("tradesim.events_per_sec").record(events as f64 / wall);
         }
 
-        self.app_cpu.advance_to(end);
-        self.db_cpu.advance_to(end);
         let measure = self.opts.measure_ms;
-        let app_util = (self.app_cpu.metrics().busy_time_ms - self.app_busy_at_warmup) / measure;
-        let db_util = (self.db_cpu.metrics().busy_time_ms - self.db_busy_at_warmup) / measure;
-        let disk_util = (self.disk.metrics().busy_time_ms - self.disk_busy_at_warmup) / measure;
+        let util = |busy: f64, at_warmup: f64| ((busy - at_warmup) / measure).clamp(0.0, 1.0);
+        let app_cpu_utilization = self
+            .apps
+            .iter_mut()
+            .map(|app| {
+                app.cpu.advance_to(end);
+                util(app.cpu.metrics().busy_time_ms, app.busy_at_warmup)
+            })
+            .collect();
+        self.db_cpu.advance_to(end);
+        let db_cpu_utilization = util(self.db_cpu.metrics().busy_time_ms, self.db_busy_at_warmup);
+        let disk_utilization = util(self.disk.metrics().busy_time_ms, self.disk_busy_at_warmup);
+        let cache_miss_ratio = self.opts.cache.map(|_| {
+            let (hits, misses) = self
+                .apps
+                .iter()
+                .filter_map(|app| app.cache.as_ref())
+                .fold((0, 0), |(h, m), c| (h + c.hits(), m + c.misses()));
+            if hits + misses == 0 {
+                0.0
+            } else {
+                misses as f64 / (hits + misses) as f64
+            }
+        });
+
+        // Tier-wide classes: merging into an empty accumulator copies it
+        // exactly, so a tier of one reports its server's bits unchanged.
+        let per_class = self
+            .samples
+            .into_iter()
+            .enumerate()
+            .map(|(ci, samples)| {
+                let mut c = ClassRaw {
+                    samples,
+                    ..ClassRaw::empty()
+                };
+                for app in &self.apps {
+                    c.rt.merge(&app.stats[ci].rt);
+                    c.completed += app.stats[ci].completed;
+                }
+                c
+            })
+            .collect();
 
         RawRunResult {
-            per_class: self.stats,
-            app_cpu_utilization: app_util.clamp(0.0, 1.0),
-            db_cpu_utilization: db_util.clamp(0.0, 1.0),
-            disk_utilization: disk_util.clamp(0.0, 1.0),
-            cache_miss_ratio: self.cache.as_ref().map(|c| c.miss_ratio()),
+            per_class,
+            per_server_class: self.apps.into_iter().map(|app| app.stats).collect(),
+            app_cpu_utilization,
+            db_cpu_utilization,
+            disk_utilization,
+            cache_miss_ratio,
             measure_ms: measure,
         }
     }
@@ -647,9 +799,9 @@ mod tests {
         assert!(mrt > 14.0 && mrt < 30.0, "mrt {mrt}");
         // CPU utilisation ≈ X · 5.376 ms ≈ 15 %.
         assert!(
-            (r.app_cpu_utilization - 0.15).abs() < 0.03,
+            (r.app_cpu_utilization[0] - 0.15).abs() < 0.03,
             "util {}",
-            r.app_cpu_utilization
+            r.app_cpu_utilization[0]
         );
     }
 
@@ -659,9 +811,9 @@ mod tests {
         let x = r.per_class[0].completed as f64 / (r.measure_ms / 1_000.0);
         assert!((x - 186.0).abs() < 8.0, "throughput {x}");
         assert!(
-            r.app_cpu_utilization > 0.97,
+            r.app_cpu_utilization[0] > 0.97,
             "util {}",
-            r.app_cpu_utilization
+            r.app_cpu_utilization[0]
         );
         // Response time far above the light-load value.
         assert!(r.per_class[0].rt.mean() > 800.0);
@@ -751,7 +903,7 @@ mod tests {
     fn utilizations_bounded() {
         let r = quick_run(&ServerArch::app_serv_f(), 2_500, 8);
         for u in [
-            r.app_cpu_utilization,
+            r.app_cpu_utilization[0],
             r.db_cpu_utilization,
             r.disk_utilization,
         ] {
@@ -812,7 +964,7 @@ mod open_tests {
             quiet.per_class[0].rt.mean(),
             busy.per_class[0].rt.mean()
         );
-        assert!(busy.app_cpu_utilization > quiet.app_cpu_utilization + 0.3);
+        assert!(busy.app_cpu_utilization[0] > quiet.app_cpu_utilization[0] + 0.3);
     }
 
     #[test]
@@ -919,9 +1071,9 @@ mod db_saturation_tests {
         // …while the app CPU has headroom and the DB connection is the
         // choke point (db cpu util = x · calls · demand).
         assert!(
-            r.app_cpu_utilization < 0.95,
+            r.app_cpu_utilization[0] < 0.95,
             "app util {}",
-            r.app_cpu_utilization
+            r.app_cpu_utilization[0]
         );
         // Response times blow up on connection queueing.
         assert!(
@@ -958,9 +1110,92 @@ mod db_saturation_tests {
             r.disk_utilization
         );
         assert!(
-            r.app_cpu_utilization < 0.75,
+            r.app_cpu_utilization[0] < 0.75,
             "app util {}",
+            r.app_cpu_utilization[0]
+        );
+    }
+}
+
+#[cfg(test)]
+mod tier_tests {
+    use super::*;
+    use perfpred_core::ServiceClass;
+
+    fn browse_assignment(clients: u32) -> Workload {
+        Workload {
+            classes: vec![ClassLoad {
+                class: ServiceClass::browse(),
+                clients,
+            }],
+        }
+    }
+
+    #[test]
+    fn heterogeneous_tier_loads_split_by_assignment() {
+        let gt = GroundTruth::default();
+        let opts = SimOptions::quick(72);
+        let archs = [ServerArch::app_serv_s(), ServerArch::app_serv_vf()];
+        let assignments = [browse_assignment(300), browse_assignment(1_100)];
+        let r = TradeSim::tier(&gt, &archs, &assignments, 1.0, &opts).run();
+        // Both carry ~50 % CPU: 300 clients ≈ 43 req/s on an 86 req/s
+        // server; 1100 ≈ 157 req/s on a 320 req/s server.
+        assert!(
+            (r.app_cpu_utilization[0] - 0.50).abs() < 0.05,
+            "{:?}",
             r.app_cpu_utilization
         );
+        assert!(
+            (r.app_cpu_utilization[1] - 0.49).abs() < 0.05,
+            "{:?}",
+            r.app_cpu_utilization
+        );
+        // Per-server stats kept separately.
+        assert!(r.per_server_class[0][0].completed > 0);
+        assert!(r.per_server_class[1][0].completed > r.per_server_class[0][0].completed);
+    }
+
+    #[test]
+    fn shared_database_saturates_a_large_tier() {
+        // Four fast servers generate ~4×300 req/s of DB work (~1.13 ms per
+        // request): the shared DB CPU melts, and response times explode in
+        // a way no per-server model predicts.
+        let gt = GroundTruth::default();
+        let opts = SimOptions::quick(73);
+        let archs = vec![ServerArch::app_serv_vf(); 4];
+        let assignments = vec![browse_assignment(2_100); 4];
+        let r = TradeSim::tier(&gt, &archs, &assignments, 1.0, &opts).run();
+        assert!(
+            r.db_cpu_utilization > 0.95,
+            "db util {}",
+            r.db_cpu_utilization
+        );
+        // A 4x database restores the tier's scaling.
+        let fixed = TradeSim::tier(&gt, &archs, &assignments, 4.0, &opts).run();
+        assert!(
+            fixed.db_cpu_utilization < 0.6,
+            "db util {}",
+            fixed.db_cpu_utilization
+        );
+        assert!(
+            fixed.per_class[0].rt.mean() < r.per_class[0].rt.mean() / 2.0,
+            "fixed {} vs saturated {}",
+            fixed.per_class[0].rt.mean(),
+            r.per_class[0].rt.mean()
+        );
+    }
+
+    #[test]
+    fn db_front_round_robin_is_fair() {
+        let mut front = DbFront::new(2, 1);
+        assert!(front.acquire(0, 100));
+        assert!(!front.acquire(0, 1));
+        assert!(!front.acquire(0, 2));
+        assert!(!front.acquire(1, 3));
+        // Round-robin alternates between the two server queues.
+        assert_eq!(front.release(), Some(1));
+        assert_eq!(front.release(), Some(3));
+        assert_eq!(front.release(), Some(2));
+        assert_eq!(front.release(), None);
     }
 }

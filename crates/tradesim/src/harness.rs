@@ -112,7 +112,7 @@ pub fn run(
             0.0
         },
         throughput_rps: total_completed as f64 / secs,
-        app_cpu_utilization: raw.app_cpu_utilization,
+        app_cpu_utilization: raw.app_cpu_utilization[0],
         db_cpu_utilization: raw.db_cpu_utilization,
         disk_utilization: raw.disk_utilization,
         cache_miss_ratio: raw.cache_miss_ratio,

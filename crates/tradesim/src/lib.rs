@@ -26,12 +26,15 @@
 //!   portfolio size of 5.5);
 //! * [`config`] — the synthetic testbed's calibration constants and run
 //!   options;
-//! * [`slot`] — counted resource pools with FIFO admission (the 50
-//!   application-server threads and 20 database connections);
+//! * [`slot`] — counted resource pools with FIFO or priority admission
+//!   (the 50 application-server threads);
 //! * [`cache`] — an LRU session cache for the §7.2 caching extension;
-//! * [`engine`] — the event-driven simulation core;
-//! * [`harness`] — measurement runs, client sweeps (parallelised with
-//!   crossbeam), max-throughput search;
+//! * [`engine`] — the event-driven simulation core: the §2 system model,
+//!   a tier of application servers in front of one database server with
+//!   one database queue per application server (one server for the
+//!   paper's calibration runs);
+//! * [`harness`] — measurement runs, client sweeps (parallel on scoped
+//!   std threads), max-throughput search;
 //! * [`calibrate`] — derives a [`perfpred_lqns::trade::TradeLqnConfig`]
 //!   from simulator runs exactly the way §5 calibrates LQNS on a physical
 //!   server: send a single-request-type workload to an offline server and
@@ -39,14 +42,12 @@
 
 pub mod cache;
 pub mod calibrate;
-pub mod cluster;
 pub mod config;
 pub mod engine;
 pub mod harness;
 pub mod ops;
 pub mod slot;
 
-pub use cluster::{ClusterRunResult, ClusterSim};
 pub use config::{GroundTruth, SimOptions};
 pub use engine::TradeSim;
 pub use harness::{

@@ -1,6 +1,6 @@
 //! Counted resource pools with FIFO or priority admission — the
-//! application server's thread pool and the database server's connection
-//! pool. Priority admission implements §8.1's "priority queuing
+//! application servers' thread pools (the database's connection pool, with
+//! its per-server queues, is the engine's `DbFront`). Priority admission implements §8.1's "priority queuing
 //! disciplines" variation: waiters with a numerically *lower* priority
 //! value are admitted first; equal priorities keep FIFO order.
 

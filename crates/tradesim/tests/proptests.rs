@@ -66,7 +66,7 @@ fn throughput_respects_physical_bounds() {
             x <= loop_cap * 1.15,
             "X {x} above closed-loop cap {loop_cap}"
         );
-        assert!((0.0..=1.0).contains(&r.app_cpu_utilization));
+        assert!((0.0..=1.0).contains(&r.app_cpu_utilization[0]));
         assert!((0.0..=1.0).contains(&r.db_cpu_utilization));
         // Little's-law sanity: response times are positive and finite.
         assert!(r.per_class[0].rt.mean() > 0.0);

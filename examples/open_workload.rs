@@ -59,7 +59,7 @@ fn main() {
             rate,
             sim.per_class[1].rt.mean(),
             sol.open_response_ms[0],
-            sim.app_cpu_utilization * 100.0
+            sim.app_cpu_utilization[0] * 100.0
         );
     }
     println!(
