@@ -114,7 +114,7 @@ pub fn run(ctx: &Experiments) -> String {
 
     let _ = writeln!(
         out,
-        "accuracy summary (%%; 'mrt' = mean of lower-eq and upper-eq accuracies, §4.2):"
+        "accuracy summary (%; 'mrt' = mean of lower-eq and upper-eq accuracies, §4.2):"
     );
     let mut summary = Table::new(&[
         "method",

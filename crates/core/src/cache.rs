@@ -35,8 +35,9 @@
 //! once, without flushing in-flight work — a request already past its
 //! lookup keeps the version it started with, and stale entries simply age
 //! out of the LRU. Hit/miss counts are exposed both per-cache
-//! ([`PredictionCache::stats`]) and through the global [`crate::metrics`]
-//! registry as `predcache.hits` / `predcache.misses`.
+//! ([`PredictionCache::stats`]) and through the [`crate::metrics`]
+//! registry as `predcache.hits` / `predcache.misses` — the registry of the
+//! scope the cache was built in, whose handles it resolves once.
 //!
 //! By default the cache grows without bound, which is exactly right for a
 //! batch sweep (bit-identical repro runs, every point kept) and exactly
@@ -55,7 +56,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Tuning knobs for [`PredictionCache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,6 +192,16 @@ pub struct PredictionCache<M: PerformanceModel> {
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// `predcache.*` handles, resolved once in the metrics scope the
+    /// cache is built in, so a hit or miss pays no registry lookup.
+    counters: CacheCounters,
+}
+
+/// Registry counters shared by every cache built in one metrics scope.
+struct CacheCounters {
+    hits: Arc<metrics::Counter>,
+    misses: Arc<metrics::Counter>,
+    evictions: Arc<metrics::Counter>,
 }
 
 impl<M: PerformanceModel> PredictionCache<M> {
@@ -213,6 +224,11 @@ impl<M: PerformanceModel> PredictionCache<M> {
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            counters: CacheCounters {
+                hits: metrics::counter("predcache.hits"),
+                misses: metrics::counter("predcache.misses"),
+                evictions: metrics::counter("predcache.evictions"),
+            },
         }
     }
 
@@ -293,7 +309,7 @@ impl<M: PerformanceModel> PredictionCache<M> {
         let found = self.lookup(&key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("predcache.hits").incr();
+            self.counters.hits.incr();
         }
         found
     }
@@ -318,7 +334,7 @@ impl<M: PerformanceModel> PredictionCache<M> {
             self.options.client_quantum,
         );
         self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics::counter("predcache.misses").incr();
+        self.counters.misses.incr();
         self.store(key, result);
     }
 
@@ -362,7 +378,7 @@ impl<M: PerformanceModel> PredictionCache<M> {
                     .collect();
                 let cutoff = *stamps.select_nth_unstable(batch - 1).1;
                 map.retain(|_, e| e.last_used.load(Ordering::Relaxed) > cutoff);
-                metrics::counter("predcache.evictions").add(batch as u64);
+                self.counters.evictions.add(batch as u64);
             }
         }
     }
@@ -386,11 +402,11 @@ impl<M: PerformanceModel> PerformanceModel for PredictionCache<M> {
         );
         if let Some(cached) = self.lookup(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("predcache.hits").incr();
+            self.counters.hits.incr();
             return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics::counter("predcache.misses").incr();
+        self.counters.misses.incr();
         // Solve the workload the key describes, so quantized lookups and
         // the memoized result always agree.
         let result = self.inner.predict(server, &self.quantized(workload));
@@ -746,6 +762,36 @@ mod tests {
         // read back under that version.
         cache.inner().version.store(0, Ordering::SeqCst);
         assert!(cache.peek(&server(), &w).is_some());
+    }
+
+    #[test]
+    fn counters_land_in_the_scope_the_cache_was_built_in() {
+        let built_in = metrics::Scope::new();
+        let cache = {
+            let _guard = built_in.enter();
+            PredictionCache::new(CountingModel::new())
+        };
+        let elsewhere = metrics::Scope::new();
+        let _guard = elsewhere.enter();
+        let w = Workload::typical(50);
+        let before = metrics::lookups_on_this_thread();
+        cache.predict(&server(), &w).unwrap();
+        cache.predict(&server(), &w).unwrap();
+        assert!(cache.peek(&server(), &w).is_some());
+        assert_eq!(
+            metrics::lookups_on_this_thread(),
+            before,
+            "no registry lookups"
+        );
+        let snap = built_in.snapshot();
+        assert_eq!(
+            (
+                snap.counter("predcache.hits"),
+                snap.counter("predcache.misses")
+            ),
+            (2, 1)
+        );
+        assert!(elsewhere.snapshot().is_empty());
     }
 
     #[test]

@@ -104,7 +104,9 @@ impl Json {
 
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        // One allocation covers a daemon reply (a `/predict` answer is
+        // ~400 bytes); larger documents grow from there.
+        let mut out = String::with_capacity(512);
         self.write(&mut out, 0);
         out.push('\n');
         out
@@ -137,12 +139,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
+                    newline(out, indent + 1);
                     item.write(out, indent + 1);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
+                newline(out, indent);
                 out.push(']');
             }
             Json::Obj(map) => {
@@ -155,14 +155,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
+                    newline(out, indent + 1);
                     write_escaped(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
+                newline(out, indent);
                 out.push('}');
             }
         }
@@ -221,6 +219,14 @@ impl From<String> for Json {
 impl From<Vec<Json>> for Json {
     fn from(v: Vec<Json>) -> Json {
         Json::Arr(v)
+    }
+}
+
+/// A line break followed by `indent` levels of two-space indentation.
+fn newline(out: &mut String, indent: usize) {
+    out.push('\n');
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 

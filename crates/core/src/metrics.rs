@@ -29,7 +29,7 @@
 //! [`current_scope`]) and re-enter it there so spawned workers report
 //! into the same window as their parent.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -455,6 +455,24 @@ thread_local! {
     /// The registry the current thread records into, when a [`Scope`] has
     /// been entered here; `None` means the global registry.
     static ACTIVE: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+    /// Name lookups ([`counter`], [`sharded_counter`], [`histogram`]) made
+    /// on this thread; see [`lookups_on_this_thread`].
+    static LOOKUPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The registry a name lookup resolves in, counted for
+/// [`lookups_on_this_thread`].
+fn lookup_registry() -> Arc<Registry> {
+    LOOKUPS.with(|n| n.set(n.get() + 1));
+    active_registry()
+}
+
+/// How many name lookups ([`counter`], [`sharded_counter`],
+/// [`histogram`]) this thread has made. Each one takes the registry's
+/// lock and hashes the name, so a hot path resolves its handles once, at
+/// construction; tests diff this around one request to prove it.
+pub fn lookups_on_this_thread() -> u64 {
+    LOOKUPS.with(Cell::get)
 }
 
 /// The registry metric lookups on this thread currently resolve to.
@@ -543,7 +561,7 @@ pub fn current_scope() -> Option<Scope> {
 /// (the entered [`Scope`]'s, else the global one), creating it on first
 /// use.
 pub fn counter(name: &str) -> Arc<Counter> {
-    active_registry().counter(name)
+    lookup_registry().counter(name)
 }
 
 /// Returns the sharded counter registered under `name` in the active
@@ -551,14 +569,14 @@ pub fn counter(name: &str) -> Arc<Counter> {
 /// counter keeps its lane count; `ShardedCounter::lane` wraps, so any
 /// shard id stays valid either way).
 pub fn sharded_counter(name: &str, lanes: usize) -> Arc<ShardedCounter> {
-    active_registry().sharded_counter(name, lanes)
+    lookup_registry().sharded_counter(name, lanes)
 }
 
 /// Returns the histogram registered under `name` in the active registry
 /// (the entered [`Scope`]'s, else the global one), creating it on first
 /// use.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    active_registry().histogram(name)
+    lookup_registry().histogram(name)
 }
 
 /// Zeroes every metric in the active registry. Handles held by callers
@@ -793,6 +811,22 @@ mod tests {
         assert!(h.quantile(0.5) <= h.quantile(0.95));
         assert!(h.quantile(0.95) <= h.quantile(0.99));
         assert!(h.quantile(0.99) <= h.max());
+    }
+
+    #[test]
+    fn name_lookups_are_counted_per_thread_and_handles_are_free() {
+        let before = lookups_on_this_thread();
+        let c = counter("test.lookups.counter");
+        let h = histogram("test.lookups.histogram");
+        sharded_counter("test.lookups.sharded", 2);
+        assert_eq!(lookups_on_this_thread() - before, 3);
+        let before = lookups_on_this_thread();
+        c.incr();
+        h.record(1.0);
+        snapshot();
+        assert_eq!(lookups_on_this_thread(), before);
+        let other = std::thread::spawn(lookups_on_this_thread).join().unwrap();
+        assert_eq!(other, 0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! controller — a request in flight sees either the old or the new
 //! threshold, never a torn value.
 
-use perfpred_core::{metrics, Prediction, Workload};
+use perfpred_core::metrics::{self, Counter};
+use perfpred_core::{Prediction, Workload};
 use perfpred_resman::RuntimeOptions;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,6 +52,10 @@ impl Verdict {
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     threshold_bits: Arc<AtomicU64>,
+    /// `serve.admission.*` handles, resolved in the metrics scope the
+    /// controller is built in.
+    admitted: Arc<Counter>,
+    rejected: Arc<Counter>,
 }
 
 impl AdmissionController {
@@ -60,6 +65,8 @@ impl AdmissionController {
         opts.validate()?;
         Ok(AdmissionController {
             threshold_bits: Arc::new(AtomicU64::new(opts.threshold.to_bits())),
+            admitted: metrics::counter("serve.admission.admitted"),
+            rejected: metrics::counter("serve.admission.rejected"),
         })
     }
 
@@ -99,7 +106,7 @@ impl AdmissionController {
                 .copied()
                 .unwrap_or(f64::NAN);
             if mrt.is_nan() || mrt > goal * (1.0 - threshold) {
-                metrics::counter("serve.admission.rejected").incr();
+                self.rejected.incr();
                 return Verdict::Reject {
                     class: load.class.name.clone(),
                     predicted_mrt_ms: mrt,
@@ -107,7 +114,7 @@ impl AdmissionController {
                 };
             }
         }
-        metrics::counter("serve.admission.admitted").incr();
+        self.admitted.incr();
         Verdict::Admit
     }
 }

@@ -176,6 +176,26 @@ impl ModelHost {
         self.servers.iter().find(|s| s.name == name)
     }
 
+    /// The method's memoized answer, without solving: `None` on a miss or
+    /// when the method is not hosted. A hit counts once in the cache's
+    /// stats; follow a miss with [`ModelHost::predict_inline`] or, for
+    /// lqns, a dispatcher's solve.
+    pub(crate) fn peek(
+        &self,
+        method: Method,
+        server: &ServerArch,
+        workload: &Workload,
+    ) -> Option<Result<Prediction, PredictError>> {
+        match method {
+            Method::Lqns => self.lqns.peek(server, workload),
+            Method::Historical if self.registry.version() > 0 => {
+                self.historical.peek(server, workload)
+            }
+            Method::Historical => None,
+            Method::Hybrid => self.hybrid.as_ref()?.peek(server, workload),
+        }
+    }
+
     /// Predicts through the method's cache, solving inline on a miss.
     ///
     /// This is the path for historical/hybrid requests (microsecond

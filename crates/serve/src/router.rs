@@ -65,12 +65,13 @@ enum Route {
     NotFound,
 }
 
-/// Per-endpoint telemetry handles, resolved once at assembly time. The
-/// pre-fix hot path re-built the histogram name with `format!` (a heap
-/// allocation plus a registry hash probe) on every request.
+/// Per-endpoint telemetry handles, resolved once at assembly time, so no
+/// request pays a registry lookup (a lock plus a hash of the name).
 struct RouteMetrics {
     requests: Arc<metrics::Counter>,
     latency: [Arc<metrics::Histogram>; 11],
+    /// Wall time of each layered-queuing solve a dispatcher runs.
+    solve_ms: Arc<metrics::Histogram>,
 }
 
 impl RouteMetrics {
@@ -91,7 +92,12 @@ impl RouteMetrics {
                 hist("method_not_allowed"),
                 hist("not_found"),
             ],
+            solve_ms: metrics::histogram("serve.solve_ms"),
         }
+    }
+
+    fn record_latency(&self, route: Route, started: Instant) {
+        self.latency[route as usize].record(started.elapsed().as_secs_f64() * 1e3);
     }
 }
 
@@ -177,7 +183,11 @@ impl App {
             ("GET", "/metrics") => (Route::Metrics, self.metrics()),
             ("GET", "/models") => (Route::Models, self.models()),
             ("GET", "/cluster") => (Route::Cluster, self.cluster_status()),
-            ("POST", "/predict") => (Route::Predict, self.predict(req, arrival)),
+            ("POST", "/predict") => (
+                Route::Predict,
+                self.predict_at(req, arrival, false)
+                    .expect("a dispatched /predict always answers"),
+            ),
             ("POST", "/observe") => (Route::Observe, self.observe(req)),
             ("POST", "/plan") => (Route::Plan, self.plan(req)),
             ("POST", "/shutdown") => (Route::Shutdown, self.shutdown_endpoint()),
@@ -196,46 +206,30 @@ impl App {
                 ),
             ),
         };
-        self.routes.latency[route as usize].record(started.elapsed().as_secs_f64() * 1e3);
+        self.routes.record_latency(route, started);
         response
     }
 
     /// Nonblocking routing for the reactor shards: `Some` when the route
     /// cannot stall the event loop (GET endpoints, `/shutdown`, unknown
-    /// paths, and `/predict` answers that are cache hits or closed-form
-    /// solves), `None` when the request must go to a dispatcher thread
-    /// (`/observe` and `/plan` do real I/O or seconds-scale planning; an
-    /// lqns `/predict` miss runs a layered solve).
+    /// paths, and `/predict` answers that are cache hits, closed-form
+    /// solves or errors), `None` when the request must go to a dispatcher
+    /// thread (`/observe` and `/plan` do real I/O or seconds-scale
+    /// planning; an lqns `/predict` miss runs a layered solve). A `None`
+    /// leaves no trace: the dispatcher's [`App::handle_at`] counts the
+    /// request once.
     pub fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response> {
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/observe") | ("POST", "/plan") => None,
-            ("POST", "/predict") if self.predict_may_block(req) => None,
+            ("POST", "/predict") => {
+                let started = Instant::now();
+                let response = self.predict_at(req, arrival, true)?;
+                self.routes.requests.incr();
+                self.routes.record_latency(Route::Predict, started);
+                Some(response)
+            }
             _ => Some(self.handle_at(req, arrival)),
         }
-    }
-
-    /// Would this `/predict` run a layered solve? Only a
-    /// layered-queuing cache miss does; parse failures and closed-form
-    /// methods answer inline. The parse here is redundant with
-    /// [`App::handle_at`] (sub-µs for the bodies this endpoint takes) and
-    /// errs toward offloading when in doubt.
-    fn predict_may_block(&self, req: &Request) -> bool {
-        let Ok(body) = req.json() else {
-            return false;
-        };
-        let Ok(method) = parse_method(&body) else {
-            return false;
-        };
-        if method != Method::Lqns || !self.host.hosts(method) {
-            return false;
-        }
-        let Ok(server) = parse_server(&body, &self.host) else {
-            return false;
-        };
-        let Ok(workload) = parse_workload(&body) else {
-            return false;
-        };
-        self.host.lqns.peek(&server, &workload).is_none()
     }
 
     fn healthz(&self) -> Response {
@@ -502,51 +496,61 @@ impl App {
         Response::json(200, &body)
     }
 
-    fn predict(&self, req: &Request, arrival: Instant) -> Response {
+    /// `POST /predict`: the body is parsed once and the method's cache
+    /// peeked once, and a hit is answered from that peek. `inline` is the
+    /// reactor shard's call: an lqns miss there returns `None` before any
+    /// side effect, and a dispatcher re-runs the request with `inline`
+    /// false, peeking again and solving the miss. Every other outcome,
+    /// errors included, answers `Some`.
+    fn predict_at(&self, req: &Request, arrival: Instant, inline: bool) -> Option<Response> {
         let body = match req.json() {
             Ok(b) => b,
-            Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
+            Err(e) => return Some(Response::error(400, &format!("bad JSON: {e}"))),
         };
         let method = match parse_method(&body) {
             Ok(m) => m,
-            Err(e) => return Response::error(400, &e),
+            Err(e) => return Some(Response::error(400, &e)),
         };
         if !self.host.hosts(method) {
-            return Response::error(
+            return Some(Response::error(
                 404,
                 &format!(
                     "method '{}' is not hosted by this daemon (available: {})",
                     method.name(),
                     self.host.available().join(", ")
                 ),
-            );
+            ));
         }
         let server = match parse_server(&body, &self.host) {
             Ok(s) => s,
-            Err(e) => return Response::error(400, &e),
+            Err(e) => return Some(Response::error(400, &e)),
         };
         let workload = match parse_workload(&body) {
             Ok(w) => w,
-            Err(e) => return Response::error(400, &e),
+            Err(e) => return Some(Response::error(400, &e)),
         };
+        let hit = self.host.peek(method, server, &workload);
+        if hit.is_none() && method == Method::Lqns && inline {
+            return None;
+        }
         self.arrivals.note(&workload);
         let deadline = match parse_deadline(&body, self.deadline, arrival) {
             Ok(d) => d,
-            Err(e) => return Response::error(400, &e),
+            Err(e) => return Some(Response::error(400, &e)),
         };
 
-        let (result, cached) = match method {
-            Method::Lqns => self.predict_lqns(&server, &workload, deadline),
-            _ => {
-                // Historical/hybrid solves are closed-form (µs): inline.
-                let cached = peeked(&self.host, method, &server, &workload);
-                (
-                    self.host
-                        .predict_inline(method, &server, &workload)
-                        .expect("hosted method"),
-                    cached,
-                )
+        let (result, cached) = match hit {
+            Some(found) => (found, true),
+            None if method == Method::Lqns => {
+                (self.predict_lqns(server, &workload, deadline), false)
             }
+            // Historical/hybrid solves are closed-form (µs): inline.
+            None => (
+                self.host
+                    .predict_inline(method, server, &workload)
+                    .expect("hosted method"),
+                false,
+            ),
         };
         // Degraded serving: when the request's budget ran out before its
         // solve could start, fall back to the cheapest model that still
@@ -559,17 +563,17 @@ impl App {
             // Only the serving layer's own failure degrades; anything else
             // (bad input, solver divergence) surfaces unchanged.
             Err(e @ PredictError::DeadlineExpired(_)) => {
-                match self.degraded_fallback(&server, &workload) {
+                match self.degraded_fallback(server, &workload) {
                     Some((p, by)) => {
                         metrics::counter(names::SERVE_DEGRADED_TOTAL).incr();
                         mode = "degraded";
                         served_by = by;
                         p
                     }
-                    None => return Response::error(504, &e.to_string()),
+                    None => return Some(Response::error(504, &e.to_string())),
                 }
             }
-            Err(e) => return Response::error(400, &e.to_string()),
+            Err(e) => return Some(Response::error(400, &e.to_string())),
         };
 
         // §9 admission: reject when any class's predicted response time is
@@ -590,7 +594,7 @@ impl App {
                 rej.set("threshold", self.admission.threshold());
                 rej.set("method", method.name());
                 rej.set("server", server.name.as_str());
-                return Response::json(503, &rej);
+                return Some(Response::json(503, &rej));
             }
         }
 
@@ -602,7 +606,7 @@ impl App {
         out.set("served_by", served_by);
         out.set("cached", cached);
         out.set("prediction", prediction_json(&prediction));
-        Response::json(200, &out)
+        Some(Response::json(200, &out))
     }
 
     /// The degraded-serving ladder, tried in cost order once this
@@ -634,22 +638,18 @@ impl App {
         None
     }
 
-    /// The layered-queuing path: peek (the µs path the daemon's
-    /// throughput target rides on), then solve the miss right here on the
-    /// dispatcher through the cache's own miss path. The budget is checked
-    /// when the request reaches the dispatcher and again just before the
-    /// solve; an expired request is shed unsolved. A solve that has
-    /// started runs to completion and its exact answer is served.
+    /// A layered-queuing miss, solved right here on the dispatcher through
+    /// the cache's own miss path. The budget is checked when the request
+    /// reaches the dispatcher and again just before the solve; an expired
+    /// request is shed unsolved. A solve that has started runs to
+    /// completion and its exact answer is served.
     fn predict_lqns(
         &self,
         server: &ServerArch,
         workload: &Workload,
         deadline: Option<Instant>,
-    ) -> (Result<Prediction, PredictError>, bool) {
+    ) -> Result<Prediction, PredictError> {
         use perfpred_core::PerformanceModel;
-        if let Some(found) = self.host.lqns.peek(server, workload) {
-            return (found, true);
-        }
         let expired = || deadline.is_some_and(|d| Instant::now() >= d);
         if !expired() {
             // Chaos harness: stall the solve the way a CPU-starved or
@@ -662,17 +662,16 @@ impl App {
         }
         if expired() {
             metrics::counter(names::SERVE_DEADLINE_EXPIRED_TOTAL).incr();
-            return (
-                Err(PredictError::DeadlineExpired(
-                    "shed before solving: queue wait exceeded the request budget".into(),
-                )),
-                false,
-            );
+            return Err(PredictError::DeadlineExpired(
+                "shed before solving: queue wait exceeded the request budget".into(),
+            ));
         }
         let started = Instant::now();
         let result = self.host.lqns.predict(server, workload);
-        metrics::histogram("serve.solve_ms").record(started.elapsed().as_secs_f64() * 1e3);
-        (result, false)
+        self.routes
+            .solve_ms
+            .record(started.elapsed().as_secs_f64() * 1e3);
+        result
     }
 
     fn plan(&self, req: &Request) -> Response {
@@ -787,22 +786,6 @@ fn parse_deadline(
     Ok((budget > Duration::ZERO).then(|| arrival + budget))
 }
 
-/// Did the method's cache already hold this key? (Peek-before-predict for
-/// the inline methods, so responses can report `"cached"` truthfully
-/// without a second solve.)
-fn peeked(host: &ModelHost, method: Method, server: &ServerArch, workload: &Workload) -> bool {
-    match method {
-        Method::Lqns => false, // handled by predict_lqns
-        Method::Historical => {
-            host.registry.version() > 0 && host.historical.peek(server, workload).is_some()
-        }
-        Method::Hybrid => host
-            .hybrid
-            .as_ref()
-            .is_some_and(|c| c.peek(server, workload).is_some()),
-    }
-}
-
 fn parse_method(body: &Json) -> Result<Method, String> {
     match body.get("method") {
         None => Ok(Method::Lqns),
@@ -813,14 +796,14 @@ fn parse_method(body: &Json) -> Result<Method, String> {
     }
 }
 
-fn parse_server(body: &Json, host: &ModelHost) -> Result<ServerArch, String> {
+fn parse_server<'h>(body: &Json, host: &'h ModelHost) -> Result<&'h ServerArch, String> {
     let name = match body.get("server") {
         None => "AppServF",
         Some(v) => v
             .as_str()
             .ok_or_else(|| "'server' must be a string".to_string())?,
     };
-    host.server(name).cloned().ok_or_else(|| {
+    host.server(name).ok_or_else(|| {
         let known: Vec<&str> = host.servers.iter().map(|s| s.name.as_str()).collect();
         format!("unknown server '{name}' (known: {})", known.join(", "))
     })
@@ -1104,6 +1087,81 @@ mod tests {
             .unwrap();
         assert_eq!(mrt_of(&r).to_bits(), fresh.mrt_ms.to_bits());
         assert_eq!(app.host.lqns.len(), 2);
+    }
+
+    const HOT_BODY: &str = r#"{"method":"lqns","server":"AppServF","clients":700,"buy_pct":10}"#;
+
+    #[test]
+    fn an_inline_hit_counts_once_and_an_offloaded_miss_once() {
+        let scope = metrics::Scope::new();
+        let _guard = scope.enter();
+        let app = app();
+        let counted = |name: &str| scope.snapshot().counter(name);
+        let req = request("POST", "/predict", HOT_BODY);
+
+        // The shard's miss leaves no trace; the dispatcher counts it once.
+        assert!(app.try_handle(&req, Instant::now()).is_none());
+        assert_eq!(
+            (counted("serve.http.requests"), app.arrivals.total()),
+            (0, 0)
+        );
+        let r = app.handle_at(&req, Instant::now());
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        assert_eq!(
+            body_json(&r).get("cached").and_then(Json::as_bool),
+            Some(false)
+        );
+        assert_eq!(
+            (counted("serve.http.requests"), app.arrivals.total()),
+            (1, 1)
+        );
+        let stats = app.host.lqns.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        assert_eq!(
+            (counted("predcache.hits"), counted("predcache.misses")),
+            (0, 1)
+        );
+
+        // Each inline hit adds exactly one hit, one request, one arrival.
+        for _ in 0..10 {
+            let r = app
+                .try_handle(&req, Instant::now())
+                .expect("a hit answers inline");
+            assert_eq!(
+                body_json(&r).get("cached").and_then(Json::as_bool),
+                Some(true)
+            );
+        }
+        assert_eq!(app.host.lqns.stats().hits, 10);
+        assert_eq!(counted("predcache.hits"), 10);
+        assert_eq!(
+            (counted("serve.http.requests"), app.arrivals.total()),
+            (11, 11)
+        );
+
+        // So does a closed-form method's hit.
+        let hybrid = request("POST", "/predict", r#"{"method":"hybrid","clients":300}"#);
+        for _ in 0..2 {
+            assert!(app.try_handle(&hybrid, Instant::now()).is_some());
+        }
+        let stats = app.host.hybrid.as_ref().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_warm_inline_hit_makes_no_registry_lookups() {
+        let app = app();
+        let req = request("POST", "/predict", HOT_BODY);
+        assert_eq!(app.handle(&req).status, 200);
+        let before = metrics::lookups_on_this_thread();
+        let r = app
+            .try_handle(&req, Instant::now())
+            .expect("a hit answers inline");
+        assert_eq!(metrics::lookups_on_this_thread() - before, 0);
+        assert_eq!(
+            body_json(&r).get("cached").and_then(Json::as_bool),
+            Some(true)
+        );
     }
 
     #[test]

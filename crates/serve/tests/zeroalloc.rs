@@ -8,7 +8,8 @@
 //! Scope: the contract covers the *framing* layer the reactor executes
 //! per request on a shard (parse + serialize on pooled buffers). Route
 //! handlers (`App::handle_at`) build JSON and intentionally allocate;
-//! DESIGN.md documents the boundary.
+//! DESIGN.md documents the boundary, and `hitalloc.rs` budgets the one
+//! handler on the hot path, an inline cache hit.
 //!
 //! `harness = false`: libtest spawns threads whose allocations would
 //! pollute the counter, so this is a plain `main`.
