@@ -82,7 +82,7 @@ pub fn run(ctx: &Experiments) -> String {
             }
             let planned = if weight > 0.0 { acc / weight } else { f64::NAN };
             table.row(&[
-                load.class.name.clone(),
+                load.class.name.to_string(),
                 f(goal, 0),
                 f(sim_mrt, 1),
                 f(planned, 1),

@@ -517,9 +517,9 @@ fn hash_key(req: &Request) -> String {
 impl perfpred_core::reactor::Handler for RouterState {
     /// The router's own endpoints answer on the shard; forwards and
     /// topology swaps decline to the dispatchers.
-    fn try_handle(&self, req: &Request, _arrival: Instant) -> Option<Response> {
+    fn try_handle_into(&self, req: &Request, _arrival: Instant, out: &mut Response) -> bool {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        match (req.path.as_str(), req.method.as_str()) {
+        let answer = match (req.path.as_str(), req.method.as_str()) {
             (path, _) if !path.starts_with('/') => Some(Response::error(400, "malformed request")),
             ("/router/status", "GET") => Some(Response::json(200, &self.status_json())),
             ("/metrics", "GET") => {
@@ -529,7 +529,8 @@ impl perfpred_core::reactor::Handler for RouterState {
             ("/admin/upstreams", "POST") => None,
             ("/admin/upstreams", _) => Some(Response::method_not_allowed("POST")),
             _ => None,
-        }
+        };
+        answer.map(|response| *out = response).is_some()
     }
 
     fn handle_at(&self, req: &Request, _arrival: Instant) -> Response {

@@ -14,6 +14,8 @@
 //! what keeps each serve node's prediction cache warm for the server
 //! configs it owns.
 
+use perfpred_core::faults::splitmix64;
+
 /// One upstream's routing view.
 #[derive(Debug, Clone)]
 struct Point {
@@ -37,13 +39,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Ring {

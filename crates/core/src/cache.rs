@@ -52,6 +52,7 @@ use crate::metrics;
 use crate::model::{PerformanceModel, Prediction};
 use crate::server::ServerArch;
 use crate::workload::{RequestType, Workload};
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -112,7 +113,17 @@ impl CacheStats {
 /// (quantized) population, floats captured at bit precision.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ClassKey {
-    name: String,
+    name: Cow<'static, str>,
+    request_type: RequestType,
+    think_bits: u64,
+    goal_bits: Option<u64>,
+    clients: u32,
+}
+
+/// One class of a key as [`KeyView`] presents it, owned or borrowed.
+#[derive(PartialEq, Eq, Hash)]
+struct ClassView<'a> {
+    name: &'a str,
     request_type: RequestType,
     think_bits: u64,
     goal_bits: Option<u64>,
@@ -122,19 +133,124 @@ struct ClassKey {
 /// Full cache key: the model version the entry was solved under, the
 /// server identity, and the per-class workload shape (which also pins
 /// down totals like buy-% exactly).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct Key {
     version: u64,
     server: String,
     classes: Vec<ClassKey>,
 }
 
+/// What a lookup hashes and compares, so the map stores owned [`Key`]s
+/// but is probed with a [`Probe`] borrowed from the request — a peek
+/// builds no key (the std `Borrow<dyn Trait>` idiom).
+trait KeyView {
+    fn version(&self) -> u64;
+    fn server(&self) -> &str;
+    fn classes(&self) -> usize;
+    fn class(&self, i: usize) -> ClassView<'_>;
+}
+
+impl KeyView for Key {
+    fn version(&self) -> u64 {
+        self.version
+    }
+    fn server(&self) -> &str {
+        &self.server
+    }
+    fn classes(&self) -> usize {
+        self.classes.len()
+    }
+    fn class(&self, i: usize) -> ClassView<'_> {
+        let c = &self.classes[i];
+        ClassView {
+            name: &c.name,
+            request_type: c.request_type,
+            think_bits: c.think_bits,
+            goal_bits: c.goal_bits,
+            clients: c.clients,
+        }
+    }
+}
+
+/// A key borrowed from `(version, server, workload)`.
+struct Probe<'a> {
+    version: u64,
+    server: &'a ServerArch,
+    workload: &'a Workload,
+    quantum: u32,
+}
+
+impl KeyView for Probe<'_> {
+    fn version(&self) -> u64 {
+        self.version
+    }
+    fn server(&self) -> &str {
+        &self.server.name
+    }
+    fn classes(&self) -> usize {
+        self.workload.classes.len()
+    }
+    fn class(&self, i: usize) -> ClassView<'_> {
+        let c = &self.workload.classes[i];
+        ClassView {
+            name: &c.class.name,
+            request_type: c.class.request_type,
+            think_bits: c.class.think_time_ms.to_bits(),
+            goal_bits: c.class.rt_goal_ms.map(f64::to_bits),
+            clients: quantize(c.clients, self.quantum),
+        }
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.version().hash(h);
+        self.server().hash(h);
+        self.classes().hash(h);
+        for i in 0..self.classes() {
+            self.class(i).hash(h);
+        }
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.version() == other.version()
+            && self.server() == other.server()
+            && self.classes() == other.classes()
+            && (0..self.classes()).all(|i| self.class(i) == other.class(i))
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self as &dyn KeyView).hash(h);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        (self as &dyn KeyView) == (other as &dyn KeyView)
+    }
+}
+
+impl Eq for Key {}
+
+impl<'a> Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
 impl Key {
-    fn new(version: u64, server: &ServerArch, workload: &Workload, quantum: u32) -> Key {
+    fn new(probe: &Probe<'_>) -> Key {
         Key {
-            version,
-            server: server.name.clone(),
-            classes: workload
+            version: probe.version,
+            server: probe.server.name.clone(),
+            classes: probe
+                .workload
                 .classes
                 .iter()
                 .map(|c| ClassKey {
@@ -142,17 +258,18 @@ impl Key {
                     request_type: c.class.request_type,
                     think_bits: c.class.think_time_ms.to_bits(),
                     goal_bits: c.class.rt_goal_ms.map(f64::to_bits),
-                    clients: quantize(c.clients, quantum),
+                    clients: quantize(c.clients, probe.quantum),
                 })
                 .collect(),
         }
     }
+}
 
-    fn shard(&self, shards: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % shards
-    }
+/// The shard a key lives in, from the same hash the maps use.
+fn shard_of(key: &dyn KeyView, shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    (h.finish() as usize) % shards
 }
 
 fn quantize(clients: u32, quantum: u32) -> u32 {
@@ -169,9 +286,12 @@ fn quantize(clients: u32, quantum: u32) -> u32 {
     }
 }
 
+/// A memoized answer, shared with every hit that reads it.
+pub type SharedResult = Arc<Result<Prediction, PredictError>>;
+
 /// One memoized prediction plus the recency stamp eviction consults.
 struct Entry {
-    result: Result<Prediction, PredictError>,
+    result: SharedResult,
     /// Tick of the last lookup that touched this entry. Atomic so the hit
     /// path can refresh recency under the shard's *read* lock.
     last_used: AtomicU64,
@@ -300,18 +420,29 @@ impl<M: PerformanceModel> PredictionCache<M> {
         server: &ServerArch,
         workload: &Workload,
     ) -> Option<Result<Prediction, PredictError>> {
-        let key = Key::new(
-            self.model_version(),
-            server,
-            workload,
-            self.options.client_quantum,
-        );
-        let found = self.lookup(&key);
+        self.peek_shared(server, workload).map(|r| (*r).clone())
+    }
+
+    /// [`PredictionCache::peek`] without the copy: the memoized answer
+    /// itself, shared. Probes with a key borrowed from the arguments, so
+    /// a hit allocates nothing.
+    pub fn peek_shared(&self, server: &ServerArch, workload: &Workload) -> Option<SharedResult> {
+        let found = self.lookup(&self.probe(server, workload));
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.counters.hits.incr();
         }
         found
+    }
+
+    /// The key of `(server, workload)` under the current model version.
+    fn probe<'a>(&self, server: &'a ServerArch, workload: &'a Workload) -> Probe<'a> {
+        Probe {
+            version: self.model_version(),
+            server,
+            workload,
+            quantum: self.options.client_quantum,
+        }
     }
 
     /// Memoizes an externally computed prediction for `(server, workload)`
@@ -327,33 +458,29 @@ impl<M: PerformanceModel> PredictionCache<M> {
         workload: &Workload,
         result: Result<Prediction, PredictError>,
     ) {
-        let key = Key::new(
-            self.model_version(),
-            server,
-            workload,
-            self.options.client_quantum,
-        );
+        let key = Key::new(&self.probe(server, workload));
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.counters.misses.incr();
-        self.store(key, result);
+        self.store(key, Arc::new(result));
     }
 
     /// Hit-path lookup: stamps recency under the shard's read lock.
-    fn lookup(&self, key: &Key) -> Option<Result<Prediction, PredictError>> {
-        let shard = &self.shards[key.shard(self.shards.len())];
+    fn lookup(&self, probe: &Probe<'_>) -> Option<SharedResult> {
+        let key: &dyn KeyView = probe;
+        let shard = &self.shards[shard_of(key, self.shards.len())];
         let map = shard.read().expect("cache shard lock");
         let entry = map.get(key)?;
         entry
             .last_used
             .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-        Some(entry.result.clone())
+        Some(Arc::clone(&entry.result))
     }
 
     /// Miss-path store: inserts and, when a capacity is configured, evicts
     /// the shard's least-recently-used entries once it overflows its slice
     /// of the budget.
-    fn store(&self, key: Key, result: Result<Prediction, PredictError>) {
-        let shard = &self.shards[key.shard(self.shards.len())];
+    fn store(&self, key: Key, result: SharedResult) {
+        let shard = &self.shards[shard_of(&key, self.shards.len())];
         let mut map = shard.write().expect("cache shard lock");
         map.insert(
             key,
@@ -394,17 +521,13 @@ impl<M: PerformanceModel> PerformanceModel for PredictionCache<M> {
         server: &ServerArch,
         workload: &Workload,
     ) -> Result<Prediction, PredictError> {
-        let key = Key::new(
-            self.model_version(),
-            server,
-            workload,
-            self.options.client_quantum,
-        );
-        if let Some(cached) = self.lookup(&key) {
+        let probe = self.probe(server, workload);
+        if let Some(cached) = self.lookup(&probe) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.counters.hits.incr();
-            return cached;
+            return (*cached).clone();
         }
+        let key = Key::new(&probe);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.counters.misses.incr();
         // Solve the workload the key describes, so quantized lookups and
@@ -412,7 +535,7 @@ impl<M: PerformanceModel> PerformanceModel for PredictionCache<M> {
         let result = self.inner.predict(server, &self.quantized(workload));
         // Errors are memoized too: a point the model rejects once it will
         // reject every time (models are pure).
-        self.store(key, result.clone());
+        self.store(key, Arc::new(result.clone()));
         result
     }
 

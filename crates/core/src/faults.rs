@@ -146,9 +146,11 @@ pub struct FaultPlan {
     draws: [AtomicU64; SITES.len()],
 }
 
-/// SplitMix64 — the same mixer the bench sweep seeds use; kept local so
-/// `perfpred-core` stays dependency-free.
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 step: the workspace's one 64-bit bijective mixer. Fault
+/// plans draw from it, the simulation kernel expands and derives seeds
+/// with it (`perfpred_desim` re-exports it), and the cluster's hash ring
+/// places its points with it.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -12,7 +12,7 @@
 //! `Content-Length`, so a chunked body can never be mistaken for the next
 //! request. [`Response::write_into`] is the one serializer.
 
-use crate::Json;
+use crate::json::{self, Json};
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
@@ -78,6 +78,18 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
+/// An empty `200` JSON response: the scratch a handler renders into.
+impl Default for Response {
+    fn default() -> Response {
+        Response {
+            status: 200,
+            content_type: Cow::Borrowed("application/json"),
+            allow: None,
+            body: Vec::new(),
+        }
+    }
+}
+
 impl Response {
     /// A JSON response.
     pub fn json(status: u16, value: &Json) -> Response {
@@ -85,7 +97,11 @@ impl Response {
             status,
             content_type: Cow::Borrowed("application/json"),
             allow: None,
-            body: value.render().into_bytes(),
+            body: {
+                let mut body = Vec::with_capacity(512);
+                value.render_into(&mut body);
+                body
+            },
         }
     }
 
@@ -101,9 +117,28 @@ impl Response {
 
     /// A JSON error envelope: `{"error": message}`.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut obj = Json::obj();
-        obj.set("error", message);
-        Response::json(status, &obj)
+        let mut resp = Response::default();
+        resp.set_error(status, message);
+        resp
+    }
+
+    /// Makes this response a JSON reply with `status` and returns its
+    /// body, cleared with its capacity kept — a handler renders into a
+    /// response the caller reuses.
+    pub fn reset_json(&mut self, status: u16) -> &mut Vec<u8> {
+        self.status = status;
+        self.content_type = Cow::Borrowed("application/json");
+        self.allow = None;
+        self.body.clear();
+        &mut self.body
+    }
+
+    /// Makes this response [`Response::error`]`(status, message)` in
+    /// place.
+    pub fn set_error(&mut self, status: u16, message: &str) {
+        json::write_object(self.reset_json(status), |o| {
+            o.str("error", message);
+        });
     }
 
     /// A 405 for a known path hit with the wrong method. Carries the

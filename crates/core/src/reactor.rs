@@ -25,8 +25,8 @@
 //!   ┌──┴────────┬────────────┐
 //! shard 0     shard 1      shard N     epoll loops; conns pinned to the
 //!   │            │            │        shard that accepted them
-//!   │  Handler::try_handle: answered on the shard, no handoff, no
-//!   │  epoll_ctl, no allocation in the loop itself
+//!   │  Handler::try_handle_into: answered on the shard into a reused
+//!   │  response, no handoff, no epoll_ctl, no allocation
 //!   │            │            │
 //!   └── offload ─┴── offload ─┘        bounded DispatchQueue, overflow
 //!             │                        answers 503 on the shard
@@ -35,6 +35,12 @@
 //!      completion → shard's eventfd doorbell; the shard writes the
 //!      response on the connection's pooled buffers, in request order
 //! ```
+//!
+//! Replies answered on the shard coalesce: a pipelined burst of inline
+//! hits goes out in one `write(2)`, and replies queued ahead of an
+//! offloaded request are written before it leaves the shard (see
+//! [`crate::conn`], "When a reply is flushed"). Every `write(2)` call is
+//! counted in `<prefix>.socket_writes`.
 //!
 //! The loop also owns everything around the handler: the connection cap
 //! (shed with a 503), the slow-loris stall sweep, refusals of malformed
@@ -80,10 +86,13 @@ const MAX_CONNS: usize = 16_000;
 
 /// What a daemon plugs into the loop: how to answer one parsed request.
 pub trait Handler: Send + Sync + 'static {
-    /// Answers on the shard thread, or declines with `None` to have the
-    /// request offloaded to [`Handler::handle_at`]. Must not block: every
-    /// connection on the shard waits while it runs.
-    fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response>;
+    /// Answers on the shard thread into `out` and returns true, or
+    /// declines with false to have the request offloaded to
+    /// [`Handler::handle_at`]. `out` is a response the shard reuses
+    /// across requests, so rendering into its body
+    /// ([`Response::reset_json`]) allocates nothing once warm. Must not
+    /// block: every connection on the shard waits while it runs.
+    fn try_handle_into(&self, req: &Request, arrival: Instant, out: &mut Response) -> bool;
 
     /// Answers a declined request on a dispatcher thread; may block.
     /// `arrival` is when the request came off the wire, so time spent in
@@ -94,6 +103,7 @@ pub trait Handler: Send + Sync + 'static {
 /// The loop's counters, resolved once under the caller's prefix.
 struct Counters {
     accepted: Arc<ShardedCounter>,
+    socket_writes: Arc<ShardedCounter>,
     accept_reset: Arc<Counter>,
     accept_overflow: Arc<Counter>,
     conn_reset: Arc<Counter>,
@@ -109,6 +119,7 @@ impl Counters {
             // One padded lane per shard: accepts count contention-free
             // and aggregate into a single `<prefix>.accepted` on scrape.
             accepted: metrics::sharded_counter(&format!("{prefix}.accepted"), shards),
+            socket_writes: metrics::sharded_counter(&format!("{prefix}.socket_writes"), shards),
             accept_reset: c("faults.accept_reset"),
             accept_overflow: c("accept_overflow"),
             conn_reset: c("faults.conn_reset"),
@@ -370,8 +381,9 @@ struct Entry {
 
 /// What handling a freshly parsed request did to the connection.
 enum ReqOutcome {
-    /// Answered on the shard; the response is queued and flushing.
-    Inline,
+    /// Answered on the shard (the response is queued), or its offload
+    /// deferred behind queued replies; the loop drives on.
+    Queued,
     /// Handed to the dispatcher pool; the connection parks in `Dispatch`
     /// with epoll interest zero until the completion doorbell rings.
     Offloaded,
@@ -399,6 +411,8 @@ struct Shard<H> {
     stall_timeout: Duration,
     counters: Counters,
     comp_scratch: Vec<Completion>,
+    /// The response inline handlers render into, reused per request.
+    reply: Response,
     draining: bool,
 }
 
@@ -463,6 +477,7 @@ impl<H: Handler> Shard<H> {
             stall_timeout: shape.stall_timeout.max(Duration::from_millis(1)),
             counters,
             comp_scratch: Vec::new(),
+            reply: Response::default(),
             draining: false,
         })
     }
@@ -572,12 +587,12 @@ impl<H: Handler> Shard<H> {
         let mut conn = Conn::new(stream, now);
         let response = Response::error(503, "server is overloaded, retry later");
         conn.queue_final(&response, &mut self.pool);
-        let interest = match conn.flush(now) {
+        let interest = match conn.flush(now, &self.counters.socket_writes.lane(self.id)) {
             Step::WantWrite => sys::EPOLLOUT | sys::EPOLLRDHUP,
             // Response flushed; mid-drain. Park briefly so the peer can
             // read the 503 through a FIN instead of an RST.
             Step::WantRead => sys::EPOLLIN | sys::EPOLLRDHUP,
-            Step::Dispatch | Step::Refused | Step::Close => {
+            Step::Dispatch | Step::Offload(_) | Step::Refused | Step::Flush | Step::Close => {
                 if let Some(bufs) = conn.bufs.take() {
                     self.pool.put(bufs);
                 }
@@ -612,17 +627,19 @@ impl<H: Handler> Shard<H> {
     }
 
     /// Advances one connection as far as it can go without blocking:
-    /// fill → parse → handle → serialize → flush, looping across
-    /// pipelined requests, then re-arms epoll with the minimal interest
-    /// set (no `epoll_ctl` at all when the interest didn't change — the
-    /// inline fast path's common case).
+    /// fill → parse → handle → serialize, looping across pipelined
+    /// requests, then one flush for the burst; then re-arms epoll with the
+    /// minimal interest set (no `epoll_ctl` at all when the interest
+    /// didn't change — the inline fast path's common case).
     fn drive(&mut self, slot: usize, mut can_read: bool, now: Instant) {
         let Some(mut entry) = self.slab.get_mut(slot).and_then(|e| e.take()) else {
             return;
         };
         loop {
             let step = match entry.conn.state {
-                State::Write => entry.conn.flush(now),
+                State::Write => entry
+                    .conn
+                    .flush(now, &self.counters.socket_writes.lane(self.id)),
                 State::Drain => entry.conn.advance(now),
                 State::Dispatch => {
                     // Spurious wakeup while awaiting a completion: park
@@ -642,20 +659,15 @@ impl<H: Handler> Shard<H> {
                     entry.conn.advance(now)
                 }
             };
-            match step {
-                Step::Dispatch => match self.on_request(&mut entry, slot, now) {
-                    ReqOutcome::Inline => {}
-                    ReqOutcome::Offloaded => {
-                        self.park(slot, entry, 0);
-                        return;
-                    }
-                    ReqOutcome::Closed => {
-                        self.finish_close(slot, entry);
-                        return;
-                    }
-                },
+            let outcome = match step {
+                Step::Dispatch => self.on_request(&mut entry, slot, now),
+                Step::Offload(arrival) => self.offload(&mut entry, slot, arrival),
                 // The refusal is queued; the next lap flushes it.
-                Step::Refused => self.counters.rejected_requests.incr(),
+                Step::Refused => {
+                    self.counters.rejected_requests.incr();
+                    ReqOutcome::Queued
+                }
+                Step::Flush => ReqOutcome::Queued,
                 Step::WantRead => {
                     entry.conn.release_if_idle(&mut self.pool);
                     self.park(slot, entry, sys::EPOLLIN | sys::EPOLLRDHUP);
@@ -669,13 +681,25 @@ impl<H: Handler> Shard<H> {
                     self.finish_close(slot, entry);
                     return;
                 }
+            };
+            match outcome {
+                ReqOutcome::Queued => {}
+                ReqOutcome::Offloaded => {
+                    self.park(slot, entry, 0);
+                    return;
+                }
+                ReqOutcome::Closed => {
+                    self.finish_close(slot, entry);
+                    return;
+                }
             }
         }
     }
 
     /// Handles the parsed request sitting in the connection's scratch:
     /// inline on the shard when the handler answers without blocking,
-    /// otherwise offload to the dispatcher pool.
+    /// otherwise offload to the dispatcher pool — once any replies queued
+    /// ahead of it are written.
     fn on_request(&mut self, entry: &mut Entry, slot: usize, now: Instant) -> ReqOutcome {
         // Chaos harness: reset an established connection mid-stream.
         if faults::fires(FaultSite::ConnReset) {
@@ -690,37 +714,51 @@ impl<H: Handler> Shard<H> {
             .bufs
             .as_mut()
             .expect("request parsed into scratch");
-        match self.handler.try_handle(&bufs.req, arrival) {
-            Some(response) => {
-                let keep = bufs.req.keep_alive && !self.shutdown.requested();
-                entry.conn.queue_response(&response, keep, &mut self.pool);
-                ReqOutcome::Inline
-            }
-            None => {
-                let req = std::mem::take(&mut bufs.req);
-                let token = ((entry.gen as u64) << 32) | slot as u64;
-                match self.dispatch.push(DispatchJob {
-                    shard: self.id,
-                    token,
-                    req,
-                    arrival,
-                }) {
-                    Ok(()) => ReqOutcome::Offloaded,
-                    Err(job) => {
-                        self.counters.dispatch_overflow.incr();
-                        entry.conn.bufs.as_mut().expect("still attached").req = job.req;
-                        let response = Response::error(503, "server is overloaded, retry later");
-                        entry.conn.queue_response(&response, false, &mut self.pool);
-                        ReqOutcome::Inline
-                    }
-                }
+        if self
+            .handler
+            .try_handle_into(&bufs.req, arrival, &mut self.reply)
+        {
+            let keep = bufs.req.keep_alive && !self.shutdown.requested();
+            entry.conn.queue_response(&self.reply, keep, &mut self.pool);
+            return ReqOutcome::Queued;
+        }
+        if entry.conn.defer_offload(arrival) {
+            return ReqOutcome::Queued;
+        }
+        self.offload(entry, slot, arrival)
+    }
+
+    /// Hands the request in the connection's scratch to the dispatcher
+    /// pool; a full queue answers 503 on the shard instead.
+    fn offload(&mut self, entry: &mut Entry, slot: usize, arrival: Instant) -> ReqOutcome {
+        let bufs = entry
+            .conn
+            .bufs
+            .as_mut()
+            .expect("request parsed into scratch");
+        let req = std::mem::take(&mut bufs.req);
+        let token = ((entry.gen as u64) << 32) | slot as u64;
+        match self.dispatch.push(DispatchJob {
+            shard: self.id,
+            token,
+            req,
+            arrival,
+        }) {
+            Ok(()) => ReqOutcome::Offloaded,
+            Err(job) => {
+                self.counters.dispatch_overflow.incr();
+                entry.conn.bufs.as_mut().expect("still attached").req = job.req;
+                let response = Response::error(503, "server is overloaded, retry later");
+                entry.conn.queue_response(&response, false, &mut self.pool);
+                ReqOutcome::Queued
             }
         }
     }
 
     /// Applies every queued completion: the scratch request returns to
-    /// its connection's buffers, the response serializes, and the write
-    /// drives immediately.
+    /// its connection's buffers, the response serializes, and the
+    /// connection drives immediately — pipelined successors already
+    /// buffered are answered into the same flush.
     fn apply_completions(&mut self, now: Instant) {
         let mut comps = std::mem::take(&mut self.comp_scratch);
         {

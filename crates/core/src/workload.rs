@@ -6,6 +6,8 @@
 //! send its next request until the previous response arrives, so the
 //! effective arrival rate falls as the system slows down.
 
+use std::borrow::Cow;
+
 /// The request types the performance models distinguish (§5: "requests in
 /// the workload are broken down into request types that are expected to
 /// exhibit similar performance characteristics").
@@ -46,8 +48,9 @@ impl RequestType {
 /// behaviour and (optionally) an SLA response-time goal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceClass {
-    /// Class name, e.g. `"browse-hi"`.
-    pub name: String,
+    /// Class name, e.g. `"browse-hi"`. Borrowed for the case-study
+    /// classes, so building their workloads allocates no name.
+    pub name: Cow<'static, str>,
     /// The request type this class issues.
     pub request_type: RequestType,
     /// Mean client think time between receiving a response and sending the
@@ -62,7 +65,7 @@ impl ServiceClass {
     /// The case-study browse class (7 s think time, no goal attached).
     pub fn browse() -> Self {
         ServiceClass {
-            name: "browse".into(),
+            name: Cow::Borrowed("browse"),
             request_type: RequestType::Browse,
             think_time_ms: 7_000.0,
             rt_goal_ms: None,
@@ -73,7 +76,7 @@ impl ServiceClass {
     /// mean portfolio size 5.5).
     pub fn buy() -> Self {
         ServiceClass {
-            name: "buy".into(),
+            name: Cow::Borrowed("buy"),
             request_type: RequestType::Buy,
             think_time_ms: 7_000.0,
             rt_goal_ms: None,
@@ -87,7 +90,7 @@ impl ServiceClass {
     }
 
     /// Returns a copy of the class with a different name.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
+    pub fn named(mut self, name: impl Into<Cow<'static, str>>) -> Self {
         self.name = name.into();
         self
     }
@@ -134,26 +137,35 @@ impl Workload {
     /// A two-class browse + buy workload with `buy_pct` percent of the
     /// clients in the buy class (the heterogeneous workloads of §4.3/fig 4).
     pub fn with_buy_pct(total_clients: u32, buy_pct: f64) -> Self {
+        let mut w = Workload::empty();
+        w.set_buy_pct(total_clients, buy_pct);
+        w
+    }
+
+    /// Makes this workload [`Workload::with_buy_pct`]`(total_clients,
+    /// buy_pct)` in place, reusing the class list's capacity — a request
+    /// path that keeps one workload as scratch builds it without
+    /// allocating.
+    pub fn set_buy_pct(&mut self, total_clients: u32, buy_pct: f64) {
         assert!(
             (0.0..=100.0).contains(&buy_pct),
             "buy_pct must be in [0,100]"
         );
         let buy = ((f64::from(total_clients) * buy_pct / 100.0).round()) as u32;
         let browse = total_clients - buy;
-        let mut classes = Vec::new();
+        self.classes.clear();
         if browse > 0 || buy == 0 {
-            classes.push(ClassLoad {
+            self.classes.push(ClassLoad {
                 class: ServiceClass::browse(),
                 clients: browse,
             });
         }
         if buy > 0 {
-            classes.push(ClassLoad {
+            self.classes.push(ClassLoad {
                 class: ServiceClass::buy(),
                 clients: buy,
             });
         }
-        Workload { classes }
     }
 
     /// Total number of clients across all service classes.

@@ -393,7 +393,7 @@ fn observe(inputs: &TickInputs) -> (f64, f64, f64) {
 /// carrying the configured SLA goal and think time.
 pub fn control_workload(cfg: &CtlConfig, est_clients: u32, buy_share: f64) -> Workload {
     let buy = ((f64::from(est_clients) * buy_share).round() as u32).min(est_clients);
-    let class = |name: &str, request_type, clients| ClassLoad {
+    let class = |name: &'static str, request_type, clients| ClassLoad {
         class: ServiceClass {
             name: name.into(),
             request_type,

@@ -19,19 +19,15 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// SplitMix64 step, used to expand seeds and mix derived-stream ids.
+/// SplitMix64 step, used to expand seeds and mix derived-stream ids —
+/// the workspace's one copy, in `perfpred-core`.
 ///
 /// Public because seed *derivation* elsewhere in the workspace (e.g. the
 /// sweep harness giving every cell its own stream) should use a full
 /// 64-bit bijective mix rather than ad-hoc affine arithmetic, whose
 /// low-entropy outputs can collide after further seed arithmetic
 /// downstream.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use perfpred_core::faults::splitmix64;
 
 impl SimRng {
     /// Creates a stream from a 64-bit seed.

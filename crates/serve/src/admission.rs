@@ -108,7 +108,7 @@ impl AdmissionController {
             if mrt.is_nan() || mrt > goal * (1.0 - threshold) {
                 self.rejected.incr();
                 return Verdict::Reject {
-                    class: load.class.name.clone(),
+                    class: load.class.name.to_string(),
                     predicted_mrt_ms: mrt,
                     goal_ms: goal,
                 };

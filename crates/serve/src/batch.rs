@@ -45,7 +45,7 @@ mod tests {
     use crate::router::App;
     use crate::shutdown::Shutdown;
     use perfpred_core::reactor::{Handler, Reactor};
-    use perfpred_core::{CacheOptions, Json, PerformanceModel, Workload};
+    use perfpred_core::{metrics, CacheOptions, Json, PerformanceModel, Workload};
     use perfpred_resman::RuntimeOptions;
     use std::io::Write as _;
     use std::net::{SocketAddr, TcpStream};
@@ -63,8 +63,8 @@ mod tests {
     }
 
     impl Handler for Gated {
-        fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response> {
-            self.app.try_handle(req, arrival)
+        fn try_handle_into(&self, req: &Request, arrival: Instant, out: &mut Response) -> bool {
+            self.app.try_handle_into(req, arrival, out)
         }
 
         fn handle_at(&self, req: &Request, arrival: Instant) -> Response {
@@ -77,6 +77,11 @@ mod tests {
     /// Serves `app` on one shard and one dispatcher, wired to `app.queue`
     /// the way [`ReactorServer`](crate::ReactorServer) wires it.
     fn serve(app: &Arc<App>) -> (SocketAddr, Arc<Gated>, JoinHandle<()>) {
+        serve_in(app, metrics::Scope::new())
+    }
+
+    /// [`serve`], with the loop's counters resolved in `scope`.
+    fn serve_in(app: &Arc<App>, scope: metrics::Scope) -> (SocketAddr, Arc<Gated>, JoinHandle<()>) {
         let gated = Arc::new(Gated {
             app: Arc::clone(app),
             gate: Mutex::new(()),
@@ -90,7 +95,10 @@ mod tests {
         let addr = reactor.local_addr();
         let handler = Arc::clone(&gated);
         let shutdown = Arc::clone(&app.shutdown);
-        let run = std::thread::spawn(move || reactor.run(handler, &shutdown).unwrap());
+        let run = std::thread::spawn(move || {
+            let _scope = scope.enter();
+            reactor.run(handler, &shutdown).unwrap()
+        });
         (addr, gated, run)
     }
 
@@ -105,6 +113,20 @@ mod tests {
         );
         stream.write_all(raw.as_bytes()).unwrap();
         stream
+    }
+
+    fn predict_frame(body: &str) -> String {
+        format!(
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    }
+
+    /// Reads one reply off a connection whose read-ahead lives in `buf`.
+    fn next_reply(stream: &mut TcpStream, buf: &mut Vec<u8>) -> (u16, Json) {
+        let (r, _) = Response::read_from(stream, buf).unwrap();
+        let body = Json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
+        (r.status, body)
     }
 
     fn reply(stream: &mut TcpStream) -> (u16, Json) {
@@ -238,5 +260,103 @@ mod tests {
         assert_eq!(app.queue.depth(), 0);
         // 3 distinct keys solved; the duplicate 100-client request hit.
         assert_eq!(app.host.lqns.len(), 3);
+    }
+
+    #[test]
+    fn a_pipelined_burst_of_warm_hits_is_one_write_and_an_offload_one_more() {
+        let app = Arc::new(App::new(
+            ModelHost::paper(&CacheOptions::default()),
+            AdmissionController::new(RuntimeOptions::default()).unwrap(),
+            JobQueue::new(16),
+            Shutdown::new(),
+        ));
+        let hit = r#"{"method": "lqns", "server": "AppServF", "clients": 120, "admission": false}"#;
+        let warm = Request {
+            method: "POST".into(),
+            path: "/predict".into(),
+            body: hit.as_bytes().to_vec(),
+            keep_alive: true,
+        };
+        assert_eq!(app.handle(&warm).status, 200, "solve the hit's key once");
+        let scope = metrics::Scope::new();
+        let (addr, _gated, run) = serve_in(&app, scope.clone());
+        let writes = || scope.snapshot().counter("serve.socket_writes");
+
+        let mut stream = send_predict(addr, hit);
+        let mut buf = Vec::new();
+        let (status, _) = next_reply(&mut stream, &mut buf);
+        assert_eq!(status, 200);
+        let before = writes();
+        stream
+            .write_all(predict_frame(hit).repeat(8).as_bytes())
+            .unwrap();
+        for _ in 0..8 {
+            let (status, body) = next_reply(&mut stream, &mut buf);
+            assert_eq!(status, 200, "{body:?}");
+            assert_eq!(body.get("cached").and_then(Json::as_bool), Some(true));
+        }
+        assert_eq!(writes() - before, 1, "eight pipelined hits, one write");
+
+        let before = writes();
+        let miss =
+            r#"{"method": "lqns", "server": "AppServF", "clients": 137, "admission": false}"#;
+        stream.write_all(predict_frame(miss).as_bytes()).unwrap();
+        let (status, body) = next_reply(&mut stream, &mut buf);
+        assert_eq!(status, 200, "{body:?}");
+        assert_eq!(body.get("cached").and_then(Json::as_bool), Some(false));
+        assert_eq!(writes() - before, 1, "an offloaded request, one write");
+
+        app.shutdown.request();
+        run.join().unwrap();
+    }
+
+    #[test]
+    fn a_hit_pipelined_ahead_of_a_held_miss_is_answered_before_the_solve() {
+        let app = Arc::new(App::new(
+            ModelHost::paper(&CacheOptions::default()),
+            AdmissionController::new(RuntimeOptions::default()).unwrap(),
+            JobQueue::new(16),
+            Shutdown::new(),
+        ));
+        let hit = r#"{"method": "lqns", "server": "AppServS", "clients": 60, "admission": false}"#;
+        let warm = Request {
+            method: "POST".into(),
+            path: "/predict".into(),
+            body: hit.as_bytes().to_vec(),
+            keep_alive: true,
+        };
+        assert_eq!(app.handle(&warm).status, 200, "solve the hit's key once");
+        let (addr, gated, run) = serve(&app);
+        let held = gated.gate.lock().unwrap();
+
+        let miss = r#"{"method": "lqns", "server": "AppServS", "clients": 61, "admission": false}"#;
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let burst = predict_frame(hit) + &predict_frame(miss);
+        stream.write_all(burst.as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        // Both requests arrived in one burst: the hit's reply is on the
+        // wire while the miss waits behind the gate.
+        let (status, body) = next_reply(&mut stream, &mut buf);
+        assert_eq!(status, 200, "{body:?}");
+        assert_eq!(body.get("cached").and_then(Json::as_bool), Some(true));
+        wait_until("the miss on the dispatcher", || {
+            gated.entered.load(Ordering::SeqCst) == 1
+        });
+        drop(held);
+        let (status, body) = next_reply(&mut stream, &mut buf);
+        assert_eq!(status, 200, "{body:?}");
+        assert_eq!(body.get("cached").and_then(Json::as_bool), Some(false));
+        let answered = body
+            .get("prediction")
+            .and_then(|p| p.get("per_class_mrt_ms"))
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len);
+        assert_eq!(answered, Some(1));
+
+        app.shutdown.request();
+        run.join().unwrap();
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::config::ModelSpec;
 use perfpred_bench::context::Experiments;
+use perfpred_core::cache::SharedResult;
 use perfpred_core::{
     CacheOptions, PredictError, Prediction, PredictionCache, ServerArch, Workload,
 };
@@ -185,14 +186,14 @@ impl ModelHost {
         method: Method,
         server: &ServerArch,
         workload: &Workload,
-    ) -> Option<Result<Prediction, PredictError>> {
+    ) -> Option<SharedResult> {
         match method {
-            Method::Lqns => self.lqns.peek(server, workload),
+            Method::Lqns => self.lqns.peek_shared(server, workload),
             Method::Historical if self.registry.version() > 0 => {
-                self.historical.peek(server, workload)
+                self.historical.peek_shared(server, workload)
             }
             Method::Historical => None,
-            Method::Hybrid => self.hybrid.as_ref()?.peek(server, workload),
+            Method::Hybrid => self.hybrid.as_ref()?.peek_shared(server, workload),
         }
     }
 

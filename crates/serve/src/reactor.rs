@@ -2,7 +2,7 @@
 //! ([`perfpred_core::reactor`]) around [`App`].
 //!
 //! ```text
-//!   reactor shards ── App::try_handle: GET endpoints, cache-hit /predict,
+//!   reactor shards ── App::try_handle_into: GET endpoints, cache-hit /predict,
 //!        │            answered on the shard (µs path)
 //!        └─ offload ─ dispatcher pool ── App::handle_at: /observe, /plan,
 //!                                        lqns /predict misses, solved on
@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 impl Handler for App {
-    fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response> {
-        App::try_handle(self, req, arrival)
+    fn try_handle_into(&self, req: &Request, arrival: Instant, out: &mut Response) -> bool {
+        App::try_handle_into(self, req, arrival, out)
     }
 
     fn handle_at(&self, req: &Request, arrival: Instant) -> Response {

@@ -8,10 +8,13 @@ use crate::models::{Method, ModelHost};
 use crate::shutdown::Shutdown;
 use perfpred_cluster::ClusterState;
 use perfpred_core::faults::{self, FaultSite};
+use perfpred_core::json::{self, ObjWriter, Value};
 use perfpred_core::metrics::names;
 use perfpred_core::workload::{ClassLoad, RequestType, ServiceClass};
 use perfpred_core::{metrics, Json, PredictError, Prediction, ServerArch, Workload};
 use perfpred_store::{Observation, ObservationStore, StoreError};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -183,11 +186,12 @@ impl App {
             ("GET", "/metrics") => (Route::Metrics, self.metrics()),
             ("GET", "/models") => (Route::Models, self.models()),
             ("GET", "/cluster") => (Route::Cluster, self.cluster_status()),
-            ("POST", "/predict") => (
-                Route::Predict,
-                self.predict_at(req, arrival, false)
-                    .expect("a dispatched /predict always answers"),
-            ),
+            ("POST", "/predict") => {
+                let mut out = Response::default();
+                let answered = self.predict_into(req, arrival, false, &mut out);
+                debug_assert!(answered, "a dispatched /predict always answers");
+                (Route::Predict, out)
+            }
             ("POST", "/observe") => (Route::Observe, self.observe(req)),
             ("POST", "/plan") => (Route::Plan, self.plan(req)),
             ("POST", "/shutdown") => (Route::Shutdown, self.shutdown_endpoint()),
@@ -219,16 +223,28 @@ impl App {
     /// leaves no trace: the dispatcher's [`App::handle_at`] counts the
     /// request once.
     pub fn try_handle(&self, req: &Request, arrival: Instant) -> Option<Response> {
+        let mut out = Response::default();
+        self.try_handle_into(req, arrival, &mut out).then_some(out)
+    }
+
+    /// [`App::try_handle`] rendering into `out`, a response the caller
+    /// reuses: a warm `/predict` hit then allocates nothing.
+    pub fn try_handle_into(&self, req: &Request, arrival: Instant, out: &mut Response) -> bool {
         match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/observe") | ("POST", "/plan") => None,
+            ("POST", "/observe") | ("POST", "/plan") => false,
             ("POST", "/predict") => {
                 let started = Instant::now();
-                let response = self.predict_at(req, arrival, true)?;
+                if !self.predict_into(req, arrival, true, out) {
+                    return false;
+                }
                 self.routes.requests.incr();
                 self.routes.record_latency(Route::Predict, started);
-                Some(response)
+                true
             }
-            _ => Some(self.handle_at(req, arrival)),
+            _ => {
+                *out = self.handle_at(req, arrival);
+                true
+            }
         }
     }
 
@@ -496,61 +512,94 @@ impl App {
         Response::json(200, &body)
     }
 
-    /// `POST /predict`: the body is parsed once and the method's cache
-    /// peeked once, and a hit is answered from that peek. `inline` is the
-    /// reactor shard's call: an lqns miss there returns `None` before any
-    /// side effect, and a dispatcher re-runs the request with `inline`
-    /// false, peeking again and solving the miss. Every other outcome,
-    /// errors included, answers `Some`.
-    fn predict_at(&self, req: &Request, arrival: Instant, inline: bool) -> Option<Response> {
-        let body = match req.json() {
+    /// `POST /predict`: the body is read once and the method's cache
+    /// peeked once, and a hit is answered from that peek, rendered into
+    /// `out`. `inline` is the reactor shard's call: an lqns miss there
+    /// returns false before any side effect, and a dispatcher re-runs the
+    /// request with `inline` false, peeking again and solving the miss.
+    /// Every other outcome, errors included, answers (returns true).
+    ///
+    /// A warm hit allocates nothing: the body's scalars are borrowed, the
+    /// workload is built in a per-thread scratch, the peek borrows its
+    /// key and shares the memoized answer, and the reply is written into
+    /// `out`'s reused body.
+    fn predict_into(
+        &self,
+        req: &Request,
+        arrival: Instant,
+        inline: bool,
+        out: &mut Response,
+    ) -> bool {
+        let body = match PredictBody::read(&req.body) {
             Ok(b) => b,
-            Err(e) => return Some(Response::error(400, &format!("bad JSON: {e}"))),
+            Err(e) => {
+                out.set_error(400, &format!("bad JSON: {e}"));
+                return true;
+            }
         };
-        let method = match parse_method(&body) {
+        WORKLOAD.with(|w| self.predict_body(&body, &mut w.borrow_mut(), arrival, inline, out))
+    }
+
+    fn predict_body(
+        &self,
+        body: &PredictBody<'_>,
+        workload: &mut Workload,
+        arrival: Instant,
+        inline: bool,
+        out: &mut Response,
+    ) -> bool {
+        let refuse = |out: &mut Response, status: u16, e: &str| {
+            out.set_error(status, e);
+            true
+        };
+        let method = match parse_method(body.method.as_ref()) {
             Ok(m) => m,
-            Err(e) => return Some(Response::error(400, &e)),
+            Err(e) => return refuse(out, 400, &e),
         };
         if !self.host.hosts(method) {
-            return Some(Response::error(
+            return refuse(
+                out,
                 404,
                 &format!(
                     "method '{}' is not hosted by this daemon (available: {})",
                     method.name(),
                     self.host.available().join(", ")
                 ),
-            ));
+            );
         }
-        let server = match parse_server(&body, &self.host) {
+        let server = match parse_server(body.server.as_ref(), &self.host) {
             Ok(s) => s,
-            Err(e) => return Some(Response::error(400, &e)),
+            Err(e) => return refuse(out, 400, &e),
         };
-        let workload = match parse_workload(&body) {
-            Ok(w) => w,
-            Err(e) => return Some(Response::error(400, &e)),
-        };
-        let hit = self.host.peek(method, server, &workload);
-        if hit.is_none() && method == Method::Lqns && inline {
-            return None;
+        if let Err(e) = parse_workload(body, workload) {
+            return refuse(out, 400, &e);
         }
-        self.arrivals.note(&workload);
-        let deadline = match parse_deadline(&body, self.deadline, arrival) {
+        let workload = &*workload;
+        let hit = self.host.peek(method, server, workload);
+        if hit.is_none() && method == Method::Lqns && inline {
+            return false;
+        }
+        self.arrivals.note(workload);
+        let deadline = match parse_deadline(body.deadline_ms.as_ref(), self.deadline, arrival) {
             Ok(d) => d,
-            Err(e) => return Some(Response::error(400, &e)),
+            Err(e) => return refuse(out, 400, &e),
         };
 
-        let (result, cached) = match hit {
-            Some(found) => (found, true),
+        let solved;
+        let (result, cached) = match &hit {
+            Some(found) => (&**found, true),
             None if method == Method::Lqns => {
-                (self.predict_lqns(server, &workload, deadline), false)
+                solved = self.predict_lqns(server, workload, deadline);
+                (&solved, false)
             }
             // Historical/hybrid solves are closed-form (µs): inline.
-            None => (
-                self.host
-                    .predict_inline(method, server, &workload)
-                    .expect("hosted method"),
-                false,
-            ),
+            None => {
+                solved = self
+                    .host
+                    .predict_inline(method, server, workload)
+                    .expect("hosted method");
+                (&solved, false)
+            }
         };
         // Degraded serving: when the request's budget ran out before its
         // solve could start, fall back to the cheapest model that still
@@ -558,55 +607,56 @@ impl App {
         // the fallback prediction exactly as it would a normal one.
         let mut mode = "normal";
         let mut served_by = method.name();
+        let fallback;
         let prediction = match result {
             Ok(p) => p,
             // Only the serving layer's own failure degrades; anything else
             // (bad input, solver divergence) surfaces unchanged.
             Err(e @ PredictError::DeadlineExpired(_)) => {
-                match self.degraded_fallback(server, &workload) {
+                match self.degraded_fallback(server, workload) {
                     Some((p, by)) => {
                         metrics::counter(names::SERVE_DEGRADED_TOTAL).incr();
                         mode = "degraded";
                         served_by = by;
-                        p
+                        fallback = p;
+                        &fallback
                     }
-                    None => return Some(Response::error(504, &e.to_string())),
+                    None => return refuse(out, 504, &e.to_string()),
                 }
             }
-            Err(e) => return Some(Response::error(400, &e.to_string())),
+            Err(e) => return refuse(out, 400, &e.to_string()),
         };
 
         // §9 admission: reject when any class's predicted response time is
         // within the threshold of its SLA goal.
-        let skip_admission = body.get("admission").and_then(Json::as_bool) == Some(false);
-        if !skip_admission {
+        if body.admission.as_ref().and_then(Value::as_bool) != Some(false) {
             if let Verdict::Reject {
                 class,
                 predicted_mrt_ms,
                 goal_ms,
-            } = self.admission.judge(&workload, &prediction)
+            } = self.admission.judge(workload, prediction)
             {
-                let mut rej = Json::obj();
-                rej.set("admitted", false);
-                rej.set("class", class);
-                rej.set("predicted_mrt_ms", predicted_mrt_ms);
-                rej.set("goal_ms", goal_ms);
-                rej.set("threshold", self.admission.threshold());
-                rej.set("method", method.name());
-                rej.set("server", server.name.as_str());
-                return Some(Response::json(503, &rej));
+                json::write_object(out.reset_json(503), |o| {
+                    o.bool("admitted", false)
+                        .str("class", &class)
+                        .num("goal_ms", goal_ms)
+                        .str("method", method.name())
+                        .num("predicted_mrt_ms", predicted_mrt_ms)
+                        .str("server", &server.name)
+                        .num("threshold", self.admission.threshold());
+                });
+                return true;
             }
         }
 
-        let mut out = Json::obj();
-        out.set("method", method.name());
-        out.set("server", server.name.as_str());
-        out.set("admitted", true);
-        out.set("mode", mode);
-        out.set("served_by", served_by);
-        out.set("cached", cached);
-        out.set("prediction", prediction_json(&prediction));
-        Some(Response::json(200, &out))
+        write_reply(
+            out.reset_json(200),
+            method.name(),
+            &server.name,
+            (mode, served_by, cached),
+            prediction,
+        );
+        true
     }
 
     /// The degraded-serving ladder, tried in cost order once this
@@ -679,7 +729,7 @@ impl App {
             Ok(b) => b,
             Err(e) => return Response::error(400, &format!("bad JSON: {e}")),
         };
-        let method = match parse_method(&body) {
+        let method = match parse_method(body.get("method").map(Value::of).as_ref()) {
             Ok(m) => m,
             Err(e) => return Response::error(400, &e),
         };
@@ -764,16 +814,62 @@ impl App {
     }
 }
 
+thread_local! {
+    /// The workload a `/predict` is parsed into, reused across requests on
+    /// a thread so a warm hit builds it without allocating.
+    static WORKLOAD: RefCell<Workload> = RefCell::new(Workload::empty());
+}
+
+/// The `/predict` body fields, read without building the document: a
+/// repeated key keeps its last value, as [`Json::parse`]'s map would.
+#[derive(Default)]
+struct PredictBody<'a> {
+    method: Option<Value<'a>>,
+    server: Option<Value<'a>>,
+    workload: Option<Value<'a>>,
+    clients: Option<Value<'a>>,
+    buy_pct: Option<Value<'a>>,
+    goal_ms: Option<Value<'a>>,
+    deadline_ms: Option<Value<'a>>,
+    admission: Option<Value<'a>>,
+}
+
+impl<'a> PredictBody<'a> {
+    /// Reads a request body (empty → no fields, as `Request::json`).
+    fn read(body: &'a [u8]) -> Result<PredictBody<'a>, String> {
+        let mut fields = PredictBody::default();
+        if body.is_empty() {
+            return Ok(fields);
+        }
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        json::read_members(text, |key, value| {
+            let slot = match &*key.decode() {
+                "method" => &mut fields.method,
+                "server" => &mut fields.server,
+                "workload" => &mut fields.workload,
+                "clients" => &mut fields.clients,
+                "buy_pct" => &mut fields.buy_pct,
+                "goal_ms" => &mut fields.goal_ms,
+                "deadline_ms" => &mut fields.deadline_ms,
+                "admission" => &mut fields.admission,
+                _ => return,
+            };
+            *slot = Some(value);
+        })?;
+        Ok(fields)
+    }
+}
+
 /// Parses the optional `deadline_ms` body field into an absolute
 /// deadline anchored at `arrival`. Absent → the daemon default; `0` →
 /// deadlines off for this request (callers that prefer waiting for the
 /// solve over a degraded answer).
 fn parse_deadline(
-    body: &Json,
+    field: Option<&Value<'_>>,
     default: Duration,
     arrival: Instant,
 ) -> Result<Option<Instant>, String> {
-    let budget = match body.get("deadline_ms") {
+    let budget = match field {
         None => default,
         Some(v) => {
             let ms = v
@@ -786,51 +882,57 @@ fn parse_deadline(
     Ok((budget > Duration::ZERO).then(|| arrival + budget))
 }
 
-fn parse_method(body: &Json) -> Result<Method, String> {
-    match body.get("method") {
+fn parse_method(field: Option<&Value<'_>>) -> Result<Method, String> {
+    match field {
         None => Ok(Method::Lqns),
         Some(v) => match v.as_str() {
-            Some(s) => Method::parse(s),
+            Some(s) => Method::parse(&s),
             None => Err("'method' must be a string".into()),
         },
     }
 }
 
-fn parse_server<'h>(body: &Json, host: &'h ModelHost) -> Result<&'h ServerArch, String> {
-    let name = match body.get("server") {
-        None => "AppServF",
+fn parse_server<'h>(
+    field: Option<&Value<'_>>,
+    host: &'h ModelHost,
+) -> Result<&'h ServerArch, String> {
+    let name = match field {
+        None => Cow::Borrowed("AppServF"),
         Some(v) => v
             .as_str()
             .ok_or_else(|| "'server' must be a string".to_string())?,
     };
-    host.server(name).ok_or_else(|| {
+    host.server(&name).ok_or_else(|| {
         let known: Vec<&str> = host.servers.iter().map(|s| s.name.as_str()).collect();
         format!("unknown server '{name}' (known: {})", known.join(", "))
     })
 }
 
-/// Parses the request workload: either the `"workload": {"classes": [...]}`
-/// long form or the `"clients": n` shorthand (optionally with `"buy_pct"`
-/// and a `"goal_ms"` applied to every class).
-fn parse_workload(body: &Json) -> Result<Workload, String> {
-    if let Some(spec) = body.get("workload") {
-        return parse_workload_classes(spec);
+/// Parses the request workload into `w`: either the
+/// `"workload": {"classes": [...]}` long form or the `"clients": n`
+/// shorthand (optionally with `"buy_pct"` and a `"goal_ms"` applied to
+/// every class).
+fn parse_workload(body: &PredictBody<'_>, w: &mut Workload) -> Result<(), String> {
+    if let Some(spec) = &body.workload {
+        *w = parse_workload_classes(&spec.clone().into_json())?;
+        return Ok(());
     }
     let clients = body
-        .get("clients")
-        .and_then(Json::as_u32)
+        .clients
+        .as_ref()
+        .and_then(Value::as_u32)
         .ok_or_else(|| "need 'workload' or a whole-number 'clients'".to_string())?;
-    let mut w = match body.get("buy_pct") {
-        None => Workload::typical(clients),
+    match &body.buy_pct {
+        None => w.set_buy_pct(clients, 0.0),
         Some(v) => {
             let pct = v.as_f64().ok_or("'buy_pct' must be a number")?;
             if !(0.0..=100.0).contains(&pct) {
                 return Err(format!("'buy_pct' must be in [0, 100], got {pct}"));
             }
-            Workload::with_buy_pct(clients, pct)
+            w.set_buy_pct(clients, pct);
         }
-    };
-    if let Some(goal) = body.get("goal_ms") {
+    }
+    if let Some(goal) = &body.goal_ms {
         let goal = goal.as_f64().ok_or("'goal_ms' must be a number")?;
         if !goal.is_finite() || goal <= 0.0 {
             return Err(format!("'goal_ms' must be positive, got {goal}"));
@@ -839,7 +941,7 @@ fn parse_workload(body: &Json) -> Result<Workload, String> {
             c.class.rt_goal_ms = Some(goal);
         }
     }
-    Ok(w)
+    Ok(())
 }
 
 fn parse_workload_classes(spec: &Json) -> Result<Workload, String> {
@@ -891,7 +993,7 @@ fn parse_workload_classes(spec: &Json) -> Result<Workload, String> {
             .map_or_else(|| format!("class-{i}"), str::to_string);
         out.push(ClassLoad {
             class: ServiceClass {
-                name,
+                name: name.into(),
                 request_type,
                 think_time_ms,
                 rt_goal_ms,
@@ -938,6 +1040,35 @@ fn parse_pool(body: &Json, host: &ModelHost) -> Result<Vec<ServerArch>, String> 
                 .collect()
         }
     }
+}
+
+/// A `/predict` 200's body. `how` is the reply's `mode`, `served_by` and
+/// `cached` members.
+fn write_reply(
+    out: &mut Vec<u8>,
+    method: &str,
+    server: &str,
+    (mode, served_by, cached): (&str, &str, bool),
+    p: &Prediction,
+) {
+    json::write_object(out, |o| {
+        o.bool("admitted", true)
+            .bool("cached", cached)
+            .str("method", method)
+            .str("mode", mode)
+            .obj("prediction", |o| write_prediction(o, p))
+            .str("served_by", served_by)
+            .str("server", server);
+    });
+}
+
+/// A prediction's members, written as [`prediction_json`] renders them.
+fn write_prediction(o: &mut ObjWriter<'_>, p: &Prediction) {
+    o.num("mrt_ms", p.mrt_ms)
+        .nums("per_class_mrt_ms", &p.per_class_mrt_ms)
+        .bool("saturated", p.saturated)
+        .num("throughput_rps", p.throughput_rps)
+        .opt_num("utilization", p.utilization);
 }
 
 fn prediction_json(p: &Prediction) -> Json {
@@ -1670,5 +1801,79 @@ mod tests {
             body_json(&r).get("accepted").and_then(Json::as_u32),
             Some(1)
         );
+    }
+
+    #[test]
+    fn the_reply_writer_emits_the_bytes_of_the_rendered_tree() {
+        // Numbers that exercise every branch of the formatter.
+        let mut rng = 20040426u64;
+        let mut draw = || {
+            rng = perfpred_core::faults::splitmix64(rng);
+            rng
+        };
+        let number = |kind: u64, raw: u64| match kind % 9 {
+            0 => (raw % 10_000) as f64,
+            1 => 1e15 + (raw % 1000) as f64,
+            2 => (1 + raw % 1000) as f64 * 1e-300,
+            3 => -((raw % 1_000_000) as f64) / 7.0,
+            4 => f64::NAN,
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => 1e21 * (1.0 + (raw % 7) as f64),
+            _ => (raw % 1_000_000) as f64 / 1024.0,
+        };
+        let modes = [
+            ("normal", "lqns"),
+            ("degraded", "lqns-cache"),
+            ("degraded", "historical"),
+            ("degraded", "hybrid"),
+        ];
+        for round in 0..2_000u64 {
+            let classes = 1 + (round % 2) as usize;
+            let p = Prediction {
+                mrt_ms: number(draw(), draw()),
+                per_class_mrt_ms: (0..classes).map(|_| number(draw(), draw())).collect(),
+                throughput_rps: number(draw(), draw()),
+                utilization: (draw() % 3 != 0).then(|| number(draw(), draw())),
+                saturated: draw() % 2 == 0,
+            };
+            let (mode, served_by) = modes[(round / 2 % 4) as usize];
+            let cached = round / 8 % 2 == 0;
+            let method = ["lqns", "historical", "hybrid"][(round % 3) as usize];
+            let mut tree = Json::obj();
+            tree.set("method", method);
+            tree.set("server", "AppServVF");
+            tree.set("admitted", true);
+            tree.set("mode", mode);
+            tree.set("served_by", served_by);
+            tree.set("cached", cached);
+            tree.set("prediction", prediction_json(&p));
+            let mut out = Vec::new();
+            write_reply(&mut out, method, "AppServVF", (mode, served_by, cached), &p);
+            assert_eq!(String::from_utf8(out).unwrap(), tree.render(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn the_admission_refusal_keeps_its_bytes() {
+        let app = app();
+        let body = r#"{"server": "AppServS", "clients": 2000, "goal_ms": 1}"#;
+        let r = app.handle(&request("POST", "/predict", body));
+        assert_eq!(r.status, 503);
+        let parsed = body_json(&r);
+        let mut tree = Json::obj();
+        for key in [
+            "admitted",
+            "class",
+            "goal_ms",
+            "method",
+            "predicted_mrt_ms",
+            "server",
+            "threshold",
+        ] {
+            tree.set(key, parsed.get(key).cloned().unwrap_or(Json::Null));
+        }
+        assert_eq!(String::from_utf8(r.body).unwrap(), tree.render());
+        assert_eq!(parsed.get("admitted").and_then(Json::as_bool), Some(false));
     }
 }

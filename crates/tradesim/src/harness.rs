@@ -91,7 +91,7 @@ pub fn run(
         };
         let mrt = cr.rt.mean();
         classes.push(ClassMeasure {
-            name: load.class.name.clone(),
+            name: load.class.name.to_string(),
             clients: load.clients,
             mrt_ms: mrt,
             rt_std_ms: cr.rt.std_dev(),
